@@ -107,10 +107,10 @@ def cmd_prepare(args) -> int:
     else:
         train, evalset = G.split_train_eval(windows, args.eval_fraction, args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
-    T.write_shard(os.path.join(args.out_dir, "train.tokens"),
-                  T.encode_windows(train.windows))
-    T.write_shard(os.path.join(args.out_dir, "eval.tokens"),
-                  T.encode_windows(evalset.windows))
+    for name, split in (("train.tokens", train), ("eval.tokens", evalset)):
+        # an empty split still records its window length, which read_shard requires
+        ids = T.encode_windows(split.windows).reshape(-1, windows.window_len)
+        T.write_shard(os.path.join(args.out_dir, name), ids)
     stats = windows.source_stats
     lines = [
         f"window_len={windows.window_len}",

@@ -1,9 +1,10 @@
 """Single-nucleotide tokenization and the token-shard file format.
 
 The vocabulary is fixed: PAD=0, UNK=1, A=2, C=3, G=4, T=5. Encoding maps
-each uppercase letter to one token; non-ACGT letters (IUPAC ambiguity
-codes) become UNK. Decoding is the inverse on {A,C,G,T}; UNK decodes to
-'N' and PAD to the empty string.
+each ASCII letter to one token, a lowercase (soft-masked) letter to the
+same token as its uppercase form; non-ACGT letters (IUPAC ambiguity codes)
+become UNK. Decoding is the inverse on {A,C,G,T}; UNK decodes to 'N' and
+PAD to the empty string.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ SHARD_MAGIC = "GENELM-TOKENS v1"
 
 _ENCODE_LUT = np.full(256, -1, dtype=np.int16)
 for _c in range(ord("A"), ord("Z") + 1):
-    _ENCODE_LUT[_c] = UNK_ID
-for _sym, _tid in BASE_IDS.items():
-    _ENCODE_LUT[ord(_sym)] = _tid
+    _ENCODE_LUT[_c] = _ENCODE_LUT[ord(chr(_c).lower())] = BASE_IDS.get(chr(_c), UNK_ID)
 
 _DECODE = {0: "", 1: "N", 2: "A", 3: "C", 4: "G", 5: "T"}
 
@@ -44,12 +43,13 @@ class TokenSequence:
 
 
 def encode(dna: str) -> np.ndarray:
-    """Map an uppercase-letter string to a uint8 id array, one id per char."""
+    """Map an ASCII-letter string to a uint8 id array, one id per char;
+    soft-masked lowercase bases get their uppercase ids."""
     raw = np.frombuffer(dna.encode("ascii", errors="strict"), dtype=np.uint8)
     ids = _ENCODE_LUT[raw]
     if (ids < 0).any():
         bad = dna[int(np.argmax(ids < 0))]
-        raise ValueError(f"cannot encode character {bad!r}: not an uppercase letter")
+        raise ValueError(f"cannot encode character {bad!r}: not an ASCII letter")
     return ids.astype(np.uint8)
 
 
@@ -103,6 +103,9 @@ def read_shard(path: str | os.PathLike) -> np.ndarray:
         n_windows = int(meta["n_windows"])
     except (KeyError, ValueError) as exc:
         raise ShardFormatError(f"{path}: bad header fields: {header!r}") from exc
+    if window_len < 1 or n_windows < 0:
+        raise ShardFormatError(
+            f"{path}: header declares window_len={window_len} n_windows={n_windows}")
     expected = window_len * n_windows
     if len(payload) != expected:
         raise ShardFormatError(

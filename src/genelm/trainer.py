@@ -8,6 +8,7 @@ uninterrupted run bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -171,6 +172,9 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | os.PathLike) -> None:
+    """Write `ckpt` to `path` atomically: the bytes go to a temporary file in
+    the same directory, which then replaces `path`, so a failed write leaves
+    any previous checkpoint at `path` intact."""
     names = list(ckpt.params)
     blobs = [np.ascontiguousarray(ckpt.params[n], dtype="<f4").tobytes() for n in names]
     if ckpt.moments is not None:
@@ -188,10 +192,19 @@ def save_checkpoint(ckpt: Checkpoint, path: str | os.PathLike) -> None:
         "tensors": [[n, list(ckpt.params[n].shape)] for n in names],
         "payload_crc32": zlib.crc32(payload),
     }
-    with open(path, "wb") as f:
-        f.write(f"{CKPT_MAGIC}\n".encode("ascii"))
-        f.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
-        f.write(payload)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(f"{CKPT_MAGIC}\n".encode("ascii"))
+            f.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
+            f.write(payload)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str | os.PathLike,

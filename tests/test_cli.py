@@ -68,6 +68,13 @@ class TestPrepare:
         assert int(fields["windows_kept"]) == 1953  # floor(1e6 / 512)
         assert int(fields["train_windows"]) + int(fields["eval_windows"]) == 1953
 
+    def test_empty_eval_split_reads_back(self, tmp_path):
+        rc = run(["prepare", "--synthetic", "length=2000", "--window-len", "100",
+                  "--eval-fraction", "0", "--out-dir", str(tmp_path / "o")])
+        assert rc == 0
+        assert T.read_shard(tmp_path / "o" / "eval.tokens").shape == (0, 100)
+        assert T.read_shard(tmp_path / "o" / "train.tokens").shape == (20, 100)
+
     def test_malformed_fasta_exit_2_names_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.fa"
         bad.write_text(">chr\nACGT\nAC!T\n")

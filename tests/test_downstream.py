@@ -46,6 +46,13 @@ class TestEmbedSequence:
         emb = D.embed_sequence(model, seq, pooling="max")
         assert np.array_equal(emb, direct)
 
+    def test_soft_masked_same_as_uppercase(self, model, rng):
+        seq = random_dna(rng, 50)  # two chunks of the 32-token context
+        soft = "".join(c.lower() if i % 3 else c for i, c in enumerate(seq))
+        for pooling in ("max", "mean"):
+            assert np.array_equal(D.embed_sequence(model, soft, pooling=pooling),
+                                  D.embed_sequence(model, seq, pooling=pooling))
+
     def test_constant_hidden_model(self, rng):
         h = rng.standard_normal(5).astype(np.float32)
         stub = ConstantHiddenStub(h)

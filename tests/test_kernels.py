@@ -215,6 +215,41 @@ class TestStructuralOps:
         out = K.causal_attention(K.Tensor(q), K.Tensor(k), K.Tensor(v), 1.0)
         assert np.array_equal(out.data[0, 0, 0], v[0, 0, 0])
 
+    def test_attention_multi_block_matches_dense_reference(self, rng):
+        t = 2 * K.BLOCK + 37
+        q, k, v = (rng.standard_normal((2, 2, t, 8)) for _ in range(3))
+        scores = np.einsum("bhid,bhjd->bhij", q, k) * 0.3
+        scores[..., np.triu(np.ones((t, t), dtype=bool), k=1)] = -np.inf
+        probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        probs /= probs.sum(axis=-1, keepdims=True)
+        expected = probs @ v
+        got64 = K.causal_attention(K.Tensor(q), K.Tensor(k), K.Tensor(v), 0.3)
+        assert np.max(np.abs(got64.data - expected)) < 1e-12
+        q32, k32, v32 = (K.Tensor(a.astype(np.float32)) for a in (q, k, v))
+        got32 = K.causal_attention(q32, k32, v32, 0.3)
+        assert got32.data.dtype == np.float32
+        assert np.max(np.abs(got32.data - expected)) < 1e-5
+
+    def test_attention_gradient_across_blocks(self, rng):
+        t = K.BLOCK + 5
+        q, k, v, w = (rng.standard_normal((1, 2, t, 4)) for _ in range(4))
+        check_grad(lambda tt: scalarize(
+            K.causal_attention(tt["q"], tt["k"], tt["v"], 0.5), w),
+            {"q": q, "k": k, "v": v}, rng, n_coords=12, tol=2e-4)
+
+    @pytest.mark.parametrize("j", [5, K.BLOCK + 20, 3 * K.BLOCK + 9])
+    def test_attention_suffix_edit_leaves_prefix_bitwise(self, rng, j):
+        t = 3 * K.BLOCK + 17  # the last block is partial
+        q, k, v = (rng.standard_normal((2, 2, t, 8)).astype(np.float32)
+                   for _ in range(3))
+        base = K.causal_attention(K.Tensor(q), K.Tensor(k), K.Tensor(v), 0.3).data
+        k2, v2 = k.copy(), v.copy()
+        k2[..., j:, :] += 3.0
+        v2[..., j, :] = -v2[..., j, :] * 7.0
+        edited = K.causal_attention(K.Tensor(q), K.Tensor(k2), K.Tensor(v2), 0.3).data
+        assert np.array_equal(edited[:, :, :j], base[:, :, :j])
+        assert not np.array_equal(edited[:, :, j], base[:, :, j])
+
     def test_embedding_gradient_scatter(self, rng):
         table = K.Tensor(rng.standard_normal((6, 4)), requires_grad=True)
         ids = np.array([2, 2, 5])

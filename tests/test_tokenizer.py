@@ -15,6 +15,9 @@ class TestEncodeDecode:
         assert T.encode("ACGN").tolist() == [2, 3, 4, 1]
         assert T.encode("RYKMSWBDHV").tolist() == [1] * 10
 
+    def test_soft_masked_same_as_uppercase(self):
+        assert T.encode("acgtnRyk").tolist() == T.encode("ACGTNRYK").tolist()
+
     def test_non_letter_rejected(self):
         with pytest.raises(ValueError):
             T.encode("AC-T")
@@ -89,6 +92,17 @@ class TestShards:
         header = f"{T.SHARD_MAGIC} vocab={','.join(T.SYMBOLS)} window_len=4 n_windows=1\n"
         path.write_bytes(header.encode() + ids.tobytes())
         with pytest.raises(ShardFormatError):
+            T.read_shard(path)
+
+    @pytest.mark.parametrize("window_len,n_windows,payload", [
+        (-2, -3, 6), (0, 5, 0), (0, 0, 0), (4, -1, 0)])
+    def test_nonpositive_header_sizes_rejected(self, tmp_path, window_len,
+                                               n_windows, payload):
+        path = tmp_path / "x.tokens"
+        header = (f"{T.SHARD_MAGIC} vocab={','.join(T.SYMBOLS)} "
+                  f"window_len={window_len} n_windows={n_windows}\n")
+        path.write_bytes(header.encode() + bytes(payload))
+        with pytest.raises(ShardFormatError, match="window_len"):
             T.read_shard(path)
 
     def test_encode_windows_shape(self):

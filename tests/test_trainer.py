@@ -173,6 +173,21 @@ class TestCheckpoint:
         TR.save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_failed_replace_keeps_previous_checkpoint(self, tmp_path, rng,
+                                                      monkeypatch):
+        path = tmp_path / "a.bin"
+        TR.save_checkpoint(self.make(rng, step=1), path)
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(TR.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            TR.save_checkpoint(self.make(rng, step=2), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
+
     def test_corrupt_payload_byte_rejected(self, tmp_path, rng):
         path = tmp_path / "c.bin"
         TR.save_checkpoint(self.make(rng), path)
