@@ -40,18 +40,29 @@ def _echo_config(args: argparse.Namespace) -> None:
     for key in sorted(vars(args)):
         if key in skip:
             continue
-        print(f"{key.replace('_', '-')}={getattr(args, key)}")
+        value = getattr(args, key)
+        if isinstance(value, list):
+            value = " ".join(map(str, value))
+        print(f"{key.replace('_', '-')}={value}")
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     """Parse once to find --config, turn its key=value lines into new
     defaults on the chosen subparser, then parse again so explicit flags
-    win."""
-    args = parser.parse_args(argv)
+    win. A required flag may come from the file instead."""
+    subparsers = parser._subparsers._group_actions[0].choices
+    required = [a for p in subparsers.values() for a in p._actions if a.required]
+    for action in required:  # the first pass only looks for --config
+        action.required = False
+    try:
+        args = parser.parse_args(argv)
+    finally:
+        for action in required:
+            action.required = True
     path = getattr(args, "config", None)
     if not path:
-        return args
-    sub = parser._subparsers._group_actions[0].choices[args.command]
+        return parser.parse_args(argv)
+    sub = subparsers[args.command]
     overrides = {}
     with open(path, encoding="ascii") as f:
         for lineno, line in enumerate(f, start=1):
@@ -68,7 +79,21 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
         action = known.get(key)
         if action is None:
             parser.error(f"{path}: unknown configuration key {key!r}")
-        defaults[key] = action.type(value) if action.type else value
+        # list-valued flags split on whitespace, as on the command line
+        many = action.nargs in ("*", "+")
+        values = value.split() if many else [value]
+        if action.nargs == "+" and not values:
+            parser.error(f"{path}: {key!r} needs at least one value")
+        try:
+            values = [action.type(v) if action.type else v for v in values]
+        except (TypeError, ValueError) as exc:
+            parser.error(f"{path}: bad value for {key!r}: {exc}")
+        bad = [v for v in values if action.choices and v not in action.choices]
+        if bad:
+            parser.error(f"{path}: {key!r} must be one of {list(action.choices)}, "
+                         f"got {bad[0]!r}")
+        defaults[key] = values if many else values[0]
+        action.required = False
     sub.set_defaults(**defaults)
     return parser.parse_args(argv)
 
@@ -420,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _apply_config_file(parser, argv)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return 2
     _echo_config(args)

@@ -17,10 +17,9 @@ from . import metrics as M
 from .errors import DataConfigError
 from .kernels import Tensor
 from .model import INIT_STD, LanguageModel
-from .parallel import parallel_map
 from .tokenizer import encode
-from .trainer import (AdamState, Checkpoint, TrainConfig, _BatchSchedule,
-                      adamw_step, clip_global_norm, finetune_config, lr_at)
+from .trainer import (AdamState, BatchSchedule, Checkpoint, TrainConfig,
+                      finetune_config, optimizer_step)
 
 log = logging.getLogger(__name__)
 
@@ -128,15 +127,11 @@ def embed_sequence(model: LanguageModel, sequence: str, pooling: str = "max",
 
 
 def embed_dataset(model: LanguageModel, sequences, pooling: str = "max",
-                  layer: int | None = None,
-                  workers: int | None = None) -> np.ndarray:
-    """(n, hidden) matrix of embeddings; rows follow input order.
-    Extraction is read-only on the model, so sequences fan out across
-    workers (capped by GENELM_THREADS)."""
-    rows = parallel_map(
-        lambda s: embed_sequence(model, s, pooling=pooling, layer=layer),
-        list(sequences), workers=workers)
-    out = np.stack(rows)
+                  layer: int | None = None) -> np.ndarray:
+    """(n, hidden) matrix of embeddings, one sequence at a time; rows
+    follow input order."""
+    out = np.stack([embed_sequence(model, s, pooling=pooling, layer=layer)
+                    for s in sequences])
     if np.isnan(out).any():
         raise ValueError("embedding matrix contains NaN")
     return out
@@ -171,17 +166,13 @@ def train_probe(train_embeddings, train_targets, test_embeddings, test_targets,
     b = Tensor(np.zeros(k, dtype=np.float32), requires_grad=True)
     params = {"w": w, "b": b}
     cfg = TrainConfig(batch_size=1, beta1=0.9, beta2=0.999, weight_decay=0.0,
-                      lr_peak=lr, lr_min=lr * 0.01, warmup_iters=0,
-                      total_iters=steps, seed=seed)
+                      max_grad_norm=math.inf, lr_peak=lr, lr_min=lr * 0.01,
+                      warmup_iters=0, total_iters=steps, seed=seed)
     state = AdamState(params)
     xn = Tensor(Xn)
     for i in range(steps):
-        loss = K.cross_entropy(K.add(K.matmul(xn, w), b), y)
-        K.backward(loss)
-        grads = {n: p.grad for n, p in params.items()}
-        adamw_step(params, grads, state, i + 1, lr_at(i + 1, cfg), cfg)
-        for p in params.values():
-            p.grad = None
+        optimizer_step(K.cross_entropy(K.add(K.matmul(xn, w), b), y),
+                       params, state, i + 1, cfg)
 
     preds = (Xtn @ w.data + b.data).argmax(axis=1)
     return {
@@ -318,7 +309,7 @@ def finetune_classify(ckpt: Checkpoint, train_ds: LabeledDataset,
         config = finetune_config(epochs * steps_per_epoch)
     batch = config.batch_size
     state = AdamState(trainable)
-    schedule = _BatchSchedule(n, batch, config.seed)
+    schedule = BatchSchedule(n, batch, config.seed)
     width = train_ids.shape[1]
 
     for i in range(config.total_iters):
@@ -331,13 +322,7 @@ def finetune_classify(ckpt: Checkpoint, train_ds: LabeledDataset,
             loss = K.sigmoid_bce(logits, train_ds.targets[idx])
         else:
             loss = K.cross_entropy(logits, train_ds.targets[idx])
-        K.backward(loss)
-        grads = {name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-                 for name, p in trainable.items()}
-        clip_global_norm(grads, config.max_grad_norm)
-        adamw_step(trainable, grads, state, i + 1, lr_at(i + 1, config), config)
-        for p in trainable.values():
-            p.grad = None
+        optimizer_step(loss, trainable, state, i + 1, config)
 
     scores = _classifier_scores(model, head_w.data, head_b.data,
                                 test_ids, test_lens)

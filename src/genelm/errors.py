@@ -19,10 +19,6 @@ class ShapeError(GenelmError, ValueError):
     """Tensor shapes incompatible with the requested operation."""
 
 
-class NumericError(GenelmError, ArithmeticError):
-    """Non-finite values where finite ones are required."""
-
-
 class ContextOverflowError(GenelmError, ValueError):
     """Sequence longer than the model's maximum context."""
 

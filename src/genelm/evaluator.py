@@ -3,8 +3,9 @@ context-length sweep that compares checkpoints across eval lengths.
 
 Negative log-likelihoods are pooled token-weighted over all scored
 positions across sequences (per-sequence values are available through
-per_sequence_stats). PAD/UNK targets contribute to neither numerator nor
-denominator. ppl is always exp(mean_nll) of the same report row.
+per_sequence_stats, per-position ones through score). PAD/UNK targets
+contribute to neither numerator nor denominator. ppl is always
+exp(mean_nll) of the same report row.
 """
 
 from __future__ import annotations
@@ -18,48 +19,45 @@ import numpy as np
 
 from .errors import ContextOverflowError
 from .genome_io import extract_windows
-from .tokenizer import BASE_IDS, TokenSequence, encode
-
-_MIN_BASE_ID = min(BASE_IDS.values())
+from .tokenizer import encode, next_token_targets
 
 CSV_HEADER = "model_id,eval_length,ppl,recon_acc,n_sequences,n_scored_tokens"
 
 
-def _as_ids(seq) -> np.ndarray:
-    if isinstance(seq, TokenSequence):
-        return np.asarray(seq.ids)
-    return np.asarray(seq)
-
-
-def _sequence_stats(model, ids: np.ndarray) -> tuple[float, int, int]:
-    """(nll_sum, n_scored, n_correct) for one sequence, in float64."""
+def score(model, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-position (nll, correct, mask) for one sequence: the float64
+    negative log-likelihood of the next token, whether the argmax logit is
+    that token (ties break toward the lowest id), and which positions are
+    scored (`next_token_targets`); unscored positions hold 0 and False."""
+    ids = np.asarray(ids)
     t = len(ids)
     if t < 2:
         raise ValueError(f"sequence of {t} tokens has no next-token targets")
     if t > model.max_seq_len:
         raise ContextOverflowError(
             f"sequence length {t} exceeds model context {model.max_seq_len}")
-    logits = np.asarray(model.logits(ids), dtype=np.float64)[:-1]
-    targets = np.asarray(ids[1:], dtype=np.int64)
-    scored = targets >= _MIN_BASE_ID
-    n = int(scored.sum())
-    if n == 0:
-        return 0.0, 0, 0
-    logits = logits[scored]
-    targets = targets[scored]
-    m = logits.max(axis=-1, keepdims=True)
-    z = logits - m
+    targets, mask = next_token_targets(ids)
+    logits = np.asarray(model.logits(ids), dtype=np.float64)
+    z = logits - logits.max(axis=-1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    nll = -logp[np.arange(n), targets]
-    correct = int((logits.argmax(axis=-1) == targets).sum())
-    return float(nll.sum()), n, correct
+    nll = np.where(mask, -logp[np.arange(t), targets], 0.0)
+    correct = mask & (logits.argmax(axis=-1) == targets)
+    return nll, correct, mask
+
+
+def _totals(model, seq) -> tuple[float, int, int]:
+    """(nll_sum, n_scored, n_correct) of one sequence."""
+    nll, correct, mask = score(model, seq)
+    # sum the scored values only: zeros in between would regroup numpy's
+    # pairwise summation and change the last bits
+    return float(nll[mask].sum()), int(mask.sum()), int(correct.sum())
 
 
 def per_sequence_stats(model, sequences) -> list[dict]:
     """Per-sequence mean NLL / ppl / accuracy rows (sequence-weighted view)."""
     rows = []
     for i, seq in enumerate(sequences):
-        s, n, c = _sequence_stats(model, _as_ids(seq))
+        s, n, c = _totals(model, seq)
         rows.append({"index": i, "n_scored": n,
                      "mean_nll": s / n if n else None,
                      "ppl": math.exp(s / n) if n else None,
@@ -73,7 +71,7 @@ def corpus_stats(model, sequences) -> tuple[float, int, int]:
         raise ValueError("no sequences to evaluate")
     total, n_total, correct = 0.0, 0, 0
     for seq in sequences:
-        s, n, c = _sequence_stats(model, _as_ids(seq))
+        s, n, c = _totals(model, seq)
         total += s
         n_total += n
         correct += c

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import MalformedFastaError
 
 BASES = "ACGT"
-_BASE_SET = frozenset(BASES)
 
 
 @dataclass

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import GenelmError, NumericError, ShapeError
+from .errors import GenelmError, ShapeError
 
 _GRAD_ENABLED = True
 
@@ -147,16 +147,6 @@ def transpose(a: Tensor, axes: tuple) -> Tensor:
     return _result(out, (a,), bwd)
 
 
-def mean_axis(a: Tensor, axis: int) -> Tensor:
-    n = a.data.shape[axis]
-    out = a.data.mean(axis=axis)
-
-    def bwd(g):
-        _accum(a, np.repeat(np.expand_dims(g / n, axis), n, axis=axis))
-
-    return _result(out, (a,), bwd)
-
-
 def sum_axis(a: Tensor, axis: int) -> Tensor:
     n = a.data.shape[axis]
     out = a.data.sum(axis=axis)
@@ -268,25 +258,6 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
             _accum(gain, contrib.reshape(-1, d).sum(axis=0))
 
     return _result(out, (x, gain), bwd)
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Stable softmax over the trailing axis. -inf entries get zero weight;
-    NaN input raises. Rows sum to 1 up to rounding."""
-    xd = x.data
-    if np.isnan(xd).any():
-        raise NumericError("softmax input contains NaN")
-    m = np.max(xd, axis=-1, keepdims=True)
-    e = np.exp(xd - m)
-    s = np.sum(e, axis=-1, keepdims=True)
-    y = e / s
-
-    def bwd(g):
-        if x.requires_grad:
-            dot = np.sum(g * y, axis=-1, keepdims=True)
-            _accum(x, y * (g - dot))
-
-    return _result(y, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ class ModelConfig:
     tie_embeddings: bool = False
 
     def __post_init__(self):
-        if self.hidden % self.n_heads != 0:
+        if self.n_heads < 1 or self.hidden % self.n_heads != 0:
             raise ValueError(f"hidden {self.hidden} not divisible by n_heads {self.n_heads}")
         if (self.hidden // self.n_heads) % 2 != 0:
             raise ValueError(f"head_dim {self.hidden // self.n_heads} must be even "

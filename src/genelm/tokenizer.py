@@ -10,7 +10,6 @@ PAD to the empty string.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +20,7 @@ UNK_ID = 1
 SYMBOLS = ("PAD", "UNK", "A", "C", "G", "T")
 VOCAB_SIZE = len(SYMBOLS)
 BASE_IDS = {"A": 2, "C": 3, "G": 4, "T": 5}
+_MIN_BASE_ID = min(BASE_IDS.values())  # ids below it (PAD, UNK) are never scored
 
 SHARD_MAGIC = "GENELM-TOKENS v1"
 
@@ -29,17 +29,6 @@ for _c in range(ord("A"), ord("Z") + 1):
     _ENCODE_LUT[_c] = _ENCODE_LUT[ord(chr(_c).lower())] = BASE_IDS.get(chr(_c), UNK_ID)
 
 _DECODE = {0: "", 1: "N", 2: "A", 3: "C", 4: "G", 5: "T"}
-
-
-@dataclass
-class TokenSequence:
-    """A window of token ids, optionally tagged with its source location."""
-
-    ids: np.ndarray
-    origin: tuple[str, int] | None = field(default=None)
-
-    def __len__(self) -> int:
-        return len(self.ids)
 
 
 def encode(dna: str) -> np.ndarray:
@@ -62,6 +51,18 @@ def decode(ids) -> str:
             raise ValueError(f"token id {i} outside vocabulary of size {VOCAB_SIZE}")
         out.append(_DECODE[i])
     return "".join(out)
+
+
+def next_token_targets(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Next-token targets along the last axis and the mask of scored
+    positions: the final position and PAD/UNK targets are not scored. This
+    is the one rule shared by the training loss and evaluation."""
+    ids = np.asarray(ids)
+    targets = np.zeros_like(ids)
+    targets[..., :-1] = ids[..., 1:]
+    mask = np.zeros(ids.shape, dtype=bool)
+    mask[..., :-1] = targets[..., :-1] >= _MIN_BASE_ID
+    return targets, mask
 
 
 def encode_windows(windows: list[str]) -> np.ndarray:

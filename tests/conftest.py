@@ -1,13 +1,7 @@
-import os
-
 import numpy as np
 import pytest
 
 from genelm import kernels as K
-
-# serial by default so loss curves and shards are bit-reproducible in tests;
-# the parallel code path has its own dedicated test
-os.environ.setdefault("GENELM_THREADS", "1")
 
 ACCEPTANCE_RESULTS = []
 

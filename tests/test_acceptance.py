@@ -23,7 +23,7 @@ from genelm import tokenizer as T
 from genelm import trainer as TR
 from genelm.errors import CheckpointFormatError
 from genelm.model import LanguageModel, ModelConfig, rope_angles, rope_apply
-from genelm.trainer import _loss_targets
+from genelm.tokenizer import next_token_targets
 
 from test_metrics import (ap_threshold_scan, auc_pairwise, f1_counts,
                           mcc_contingency)
@@ -124,7 +124,7 @@ def test_criterion_1_gradient_correctness():
                       ffn_dim=44, max_seq_len=16)
     rng = np.random.default_rng(2024)
     tokens = rng.integers(2, 6, size=(1, 12))
-    targets, mask = _loss_targets(tokens)
+    targets, mask = next_token_targets(tokens)
 
     model = LanguageModel.init(cfg, seed=7)
     K.backward(K.cross_entropy(model.forward(tokens), targets, mask))
@@ -356,8 +356,8 @@ def test_criterion_8_embedding_contracts(species_task, species_backbone):
         np.mean(np.stack([e1, e2]), axis=0))
 
     train, test = species_task["train"], species_task["test"]
-    Xtr = D.embed_dataset(model, train.sequences, pooling="max", workers=1)
-    Xte = D.embed_dataset(model, test.sequences, pooling="max", workers=1)
+    Xtr = D.embed_dataset(model, train.sequences, pooling="max")
+    Xte = D.embed_dataset(model, test.sequences, pooling="max")
     rec = D.train_probe(Xtr, train.targets, Xte, test.targets,
                         n_classes=5, seed=0)
     elapsed = train_seconds + (time.time() - t0)

@@ -9,6 +9,7 @@ from genelm import cli
 from genelm import downstream as D
 from genelm import tokenizer as T
 from genelm import trainer as TR
+from genelm.errors import CheckpointFormatError
 
 DATA = Path(__file__).parent / "data"
 
@@ -135,6 +136,21 @@ class TestUsageErrors:
         assert rc == 2
 
 
+    def test_malformed_checkpoint_header_exits_2(self, prepared, tmp_path, capsys):
+        magic, header, payload = (prepared / "run" / "checkpoint.bin").read_bytes().split(
+            b"\n", 2)
+        header = json.loads(header)
+        del header["tensors"]
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\n".join([magic, json.dumps(header).encode(), payload]))
+        with pytest.raises(CheckpointFormatError):
+            TR.load_checkpoint(bad)
+        rc = run(["eval-ppl", "--checkpoint", str(bad),
+                  "--shards", str(prepared / "data" / "eval.tokens")])
+        assert rc == 2
+        assert "malformed header" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -154,6 +170,42 @@ class TestConfigFile:
             run(["prepare", "--config", str(cfg), "--synthetic", "length=100",
                  "--out-dir", str(tmp_path / "o")])
         assert exc.value.code == 2
+
+    def test_bad_config_value_exits_2_naming_file_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("hidden=abc\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--config", str(cfg), "--shards", "x.tokens",
+                 "--out-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "'hidden'" in err
+
+    def test_non_ascii_config_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("window-len=32 # \u00e9\n".encode("utf-8"))
+        rc = run(["prepare", "--config", str(cfg), "--synthetic", "length=100",
+                  "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+
+    def test_list_config_value_splits_like_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("synthetic=length=6400 markov_order=1\nwindow-len=32\n")
+        rc = run(["prepare", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "synthetic=length=6400 markov_order=1" in out.splitlines()
+        assert "windows_kept=200" in out.splitlines()
+
+    def test_one_or_more_config_value_splits(self, prepared, tmp_path, capsys):
+        ckpt = prepared / "run" / "checkpoint.bin"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"checkpoints={ckpt} {ckpt}\nlengths=16\nmax-sequences=2\n")
+        rc = run(["sweep", "--config", str(cfg), "--synthetic", "length=2000",
+                  "--out-dir", str(tmp_path / "sw")])
+        assert rc == 0
+        rows = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 1 + 2  # header + 2 checkpoints x 1 length
 
     def test_echo_is_reparseable(self, tmp_path, capsys):
         rc = run(["prepare", "--synthetic", "length=6400", "--window-len", "32",

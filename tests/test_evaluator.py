@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from genelm import evaluator as E
+from genelm import kernels as K
 from genelm import genome_io as G
 from genelm import tokenizer as T
 from genelm.errors import ContextOverflowError
@@ -129,6 +130,35 @@ class TestPerplexity:
                       / sum(r["n_scored"] for r in rows))
         _, mean_nll = E.perplexity(model, seqs)
         assert abs(pooled_nll - mean_nll) < 1e-12
+
+
+class TestScoringRule:
+    def test_next_token_targets_masks_last_and_pad_unk(self, rng):
+        batch = rng.integers(2, 6, size=(3, 20))
+        batch[0, 5] = T.PAD_ID
+        batch[1, 7:10] = T.UNK_ID
+        batch[2, 0] = T.UNK_ID  # a PAD/UNK input is still scored as context
+        targets, mask = T.next_token_targets(batch)
+        assert np.array_equal(targets[:, :-1], batch[:, 1:])
+        want = np.ones(batch.shape, dtype=bool)
+        want[:, -1] = False
+        want[0, 4] = False
+        want[1, 6:9] = False
+        assert np.array_equal(mask, want)
+
+    def test_training_loss_equals_mean_score_nll(self, rng):
+        model = LanguageModel.init(
+            ModelConfig(hidden=16, n_layers=1, n_heads=2, ffn_dim=24,
+                        max_seq_len=32), seed=4)
+        batch = rng.integers(2, 6, size=(3, 24))
+        batch[0, 3] = T.PAD_ID
+        batch[2, 10:14] = T.UNK_ID
+        loss = K.cross_entropy(model.forward(batch), *T.next_token_targets(batch))
+        rows = [E.score(model, ids) for ids in batch]
+        assert np.array_equal(np.stack([m for _, _, m in rows]),
+                              T.next_token_targets(batch)[1])
+        nll = np.concatenate([n[m] for n, _, m in rows])
+        assert abs(float(loss.data) - nll.mean()) < 1e-5
 
 
 class TestReconstructionAccuracy:

@@ -9,7 +9,7 @@ from genelm.errors import ContextOverflowError
 from genelm.model import (LanguageModel, LayerParams, ModelConfig,
                           attention_block, ffn_block, init_params, param_count,
                           param_shapes, rope_angles, rope_apply)
-from genelm.trainer import _loss_targets
+from genelm.tokenizer import next_token_targets
 
 TINY = ModelConfig(vocab_size=6, hidden=16, n_layers=2, n_heads=4,
                    ffn_dim=44, max_seq_len=32)
@@ -191,7 +191,7 @@ class TestForward:
     def test_fresh_model_loss_near_log_vocab(self, rng):
         model = tiny_model(seed=3)
         tokens = rng.integers(2, 6, size=(4, 24))
-        targets, mask = _loss_targets(tokens)
+        targets, mask = next_token_targets(tokens)
         loss = K.cross_entropy(model.forward(tokens), targets, mask)
         assert abs(float(loss.data) - math.log(6)) < 0.05
 
@@ -232,7 +232,7 @@ class TestForward:
         cfg = ModelConfig(vocab_size=6, hidden=8, n_layers=2, n_heads=2,
                           ffn_dim=12, max_seq_len=16)
         tokens = rng.integers(2, 6, size=(1, 10))
-        targets, mask = _loss_targets(tokens)
+        targets, mask = next_token_targets(tokens)
         shapes = param_shapes(cfg)
         arrays = {}
         for name, shape in shapes.items():

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -125,19 +126,19 @@ class TestClip:
     def test_under_cap_unchanged(self):
         g = {"a": np.array([0.3, 0.4], dtype=np.float32)}
         before = g["a"].copy()
-        assert TR.clip_global_norm(g, 1.0) == 1.0
+        assert TR.clip_global_norm(g, 1.0) == pytest.approx(0.5, rel=1e-6)
         assert np.array_equal(g["a"], before)
 
     def test_over_cap_scaled(self):
         g = {"a": np.array([4.0, 0.0], dtype=np.float32),
              "b": np.zeros(3, dtype=np.float32)}
-        factor = TR.clip_global_norm(g, 1.0)
-        assert factor == pytest.approx(0.25, rel=1e-9)
+        assert TR.clip_global_norm(g, 1.0) == 4.0  # the norm before clipping
         assert abs(TR.grad_global_norm(g) - 1.0) < 1e-6
 
     def test_all_zero_unchanged(self):
         g = {"a": np.zeros(4, dtype=np.float32)}
-        assert TR.clip_global_norm(g, 1.0) == 1.0
+        assert TR.clip_global_norm(g, 1.0) == 0.0
+        assert np.array_equal(g["a"], np.zeros(4, dtype=np.float32))
 
     @given(st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=20),
            st.floats(0.01, 10))
@@ -146,6 +147,35 @@ class TestClip:
         g = {"a": np.array(values, dtype=np.float32)}
         TR.clip_global_norm(g, max_norm)
         assert TR.grad_global_norm(g) <= max_norm + 1e-6
+
+
+class TestOptimizerStep:
+    def test_matches_backward_clip_adamw_by_hand(self, rng):
+        cfg = TR.TrainConfig(total_iters=10, warmup_iters=2, max_grad_norm=0.01)
+        x = rng.standard_normal((5, 3)).astype(np.float32)
+        y = rng.integers(0, 4, 5)
+        w0 = rng.standard_normal((3, 4)).astype(np.float32)
+        unused0 = np.ones(2, dtype=np.float32)
+
+        def setup():
+            params = {"w": K.Tensor(w0.copy(), requires_grad=True),
+                      "unused": K.Tensor(unused0.copy(), requires_grad=True)}
+            loss = K.cross_entropy(K.matmul(K.Tensor(x), params["w"]), y)
+            return params, TR.AdamState(params), loss
+
+        params, state, loss = setup()
+        norm = TR.optimizer_step(loss, params, state, 3, cfg)
+        assert all(p.grad is None or not p.grad.any() for p in params.values())
+
+        ref, ref_state, ref_loss = setup()
+        K.backward(ref_loss)
+        grads = {"w": ref["w"].grad, "unused": np.zeros(2, dtype=np.float32)}
+        assert norm == TR.grad_global_norm(grads) > cfg.max_grad_norm
+        TR.clip_global_norm(grads, cfg.max_grad_norm)
+        TR.adamw_step(ref, grads, ref_state, 3, TR.lr_at(3, cfg), cfg)
+        for n in params:
+            assert np.array_equal(params[n].data, ref[n].data)
+            assert np.array_equal(state.m[n], ref_state.m[n])
 
 
 class TestCheckpoint:
@@ -210,6 +240,25 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError):
             TR.load_checkpoint(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("tensors", None), ("has_moments", None), ("has_moments", "yes"),
+        ("model_config", None), ("model_config", {"hidden": "wide"}),
+        ("model_config", {"n_heads": 0}),
+        ("train_config", {"batch_size": 0}), ("step", None), ("step", "17"),
+        ("payload_crc32", None)])
+    def test_malformed_header_rejected(self, tmp_path, rng, key, value):
+        path = tmp_path / "h.bin"
+        TR.save_checkpoint(self.make(rng), path)
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        header = json.loads(header)
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+        path.write_bytes(b"\n".join([magic, json.dumps(header).encode(), payload]))
+        with pytest.raises(CheckpointFormatError, match="malformed header"):
+            TR.load_checkpoint(path)
+
     def test_mismatched_config_names_tensor(self, tmp_path, rng):
         path = tmp_path / "s.bin"
         TR.save_checkpoint(self.make(rng), path)
@@ -251,6 +300,21 @@ class TestTrainStage:
             assert np.array_equal(ckpt_full.params[n], ckpt_resumed.params[n])
             assert np.array_equal(ckpt_full.moments[0][n], ckpt_resumed.moments[0][n])
 
+    def test_resume_refuses_changed_schedule(self, rng):
+        data = small_shard(rng)
+        cfg = TR.TrainConfig(batch_size=4, total_iters=10, warmup_iters=2,
+                             lr_peak=1e-3, lr_min=1e-4)
+        half, _ = TR.train_stage(SMALL, cfg, data, stop_at_step=5)
+        for change in ({"total_iters": 20}, {"lr_peak": 2e-3}, {"batch_size": 2}):
+            with pytest.raises(DataConfigError, match="train config"):
+                TR.train_stage(SMALL, dataclasses.replace(cfg, **change), data,
+                               start=half)
+        # a step-0 checkpoint (a fresh context extension) takes any schedule
+        other = dataclasses.replace(cfg, total_iters=3, warmup_iters=0)
+        fresh = dataclasses.replace(half, step=0, moments=None)
+        _, rows = TR.train_stage(SMALL, other, data, start=fresh)
+        assert len(rows) == 3
+
     def test_fixed_seeds_reproduce_loss_curve(self, rng):
         data = small_shard(rng)
         cfg = TR.TrainConfig(batch_size=4, total_iters=15, warmup_iters=2,
@@ -266,7 +330,6 @@ class TestTrainStage:
             TR.train_stage(SMALL, cfg, data)
 
     def test_metrics_log_written(self, tmp_path, rng):
-        import json
         data = small_shard(rng)
         cfg = TR.TrainConfig(batch_size=2, total_iters=3, warmup_iters=1,
                              lr_peak=1e-3, lr_min=1e-4)
