@@ -176,21 +176,17 @@ def cmd_train(args) -> int:
         cfg, tcfg, data, start=start, data_seed=args.seed,
         init_seed=args.seed, log_path=os.path.join(args.out_dir, "metrics.jsonl"))
     TR.save_checkpoint(ckpt, os.path.join(args.out_dir, "checkpoint.bin"))
-    print(f"final_loss={rows[-1]['loss']:.6f} final_ppl={rows[-1]['ppl']:.6f}")
+    print(f"final_loss={rows[-1]['loss']:.6f} final_ppl={rows[-1]['ppl']:.6f}"
+          if rows else "(no steps)")
     return 0
 
 
 def cmd_extend(args) -> int:
     ckpt = TR.load_checkpoint(args.checkpoint)
     data = T.read_shard(args.shards)
-    ext_cfg = TR.TrainConfig(batch_size=args.batch_size, lr_peak=args.lr_peak,
-                             lr_min=args.lr_min, warmup_iters=args.warmup_iters,
-                             total_iters=args.total_iters, seed=args.seed,
-                             weight_decay=args.weight_decay)
     os.makedirs(args.out_dir, exist_ok=True)
-    new_base = args.new_rope_base
     out, rows = TR.extend_context(
-        ckpt, args.new_context_len, new_base, ext_cfg, data,
+        ckpt, args.new_context_len, args.new_rope_base, _train_config(args), data,
         log_path=os.path.join(args.out_dir, "metrics.jsonl"))
     TR.save_checkpoint(out, os.path.join(args.out_dir, "checkpoint.bin"))
     tail = f"final_loss={rows[-1]['loss']:.6f}" if rows else "(no steps)"
@@ -199,10 +195,12 @@ def cmd_extend(args) -> int:
 
 
 def cmd_eval_ppl(args) -> int:
+    if args.max_sequences is not None and args.max_sequences < 1:
+        raise GenelmError(f"--max-sequences must be >= 1, got {args.max_sequences}")
     ckpt = TR.load_checkpoint(args.checkpoint)
     model = ckpt.build_model()
     data = T.read_shard(args.shards)
-    seqs = [data[i] for i in range(min(len(data), args.max_sequences or len(data)))]
+    seqs = list(data[:args.max_sequences])
     nll_sum, n_scored, correct = E.corpus_stats(model, seqs)
     mean_nll = nll_sum / n_scored
     ppl = math.exp(mean_nll)
@@ -264,6 +262,8 @@ def cmd_probe(args) -> int:
 
 
 def cmd_finetune(args) -> int:
+    if args.batch_size < 1:
+        raise GenelmError(f"--batch-size must be >= 1, got {args.batch_size}")
     ckpt = TR.load_checkpoint(args.checkpoint)
     train_ds = D.load_labeled_dataset(args.train_dataset)
     test_ds = D.load_labeled_dataset(args.test_dataset)
@@ -313,12 +313,15 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="rotary base frequency")
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--batch-size", type=int, default=8, help="sequences per step")
-    p.add_argument("--lr-peak", type=float, default=4.8e-4, help="post-warmup rate")
-    p.add_argument("--lr-min", type=float, default=4.8e-5, help="end-of-decay rate")
-    p.add_argument("--warmup-iters", type=int, default=50, help="linear warmup steps")
-    p.add_argument("--total-iters", type=int, default=1000, help="total steps")
+def _add_train_flags(p: argparse.ArgumentParser, batch_size: int = 8,
+                     lr_peak: float = 4.8e-4, lr_min: float = 4.8e-5,
+                     warmup_iters: int = 50, total_iters: int = 1000) -> None:
+    p.add_argument("--batch-size", type=int, default=batch_size, help="sequences per step")
+    p.add_argument("--lr-peak", type=float, default=lr_peak, help="post-warmup rate")
+    p.add_argument("--lr-min", type=float, default=lr_min, help="end-of-decay rate")
+    p.add_argument("--warmup-iters", type=int, default=warmup_iters,
+                   help="linear warmup steps")
+    p.add_argument("--total-iters", type=int, default=total_iters, help="total steps")
     p.add_argument("--weight-decay", type=float, default=0.1,
                    help="decoupled weight decay")
 
@@ -366,13 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--new-rope-base", type=float, default=None,
                    help="rotary base for the stage (default: scale the "
                         "previous base by the squared length ratio)")
-    p.add_argument("--batch-size", type=int, default=4, help="sequences per step")
-    p.add_argument("--lr-peak", type=float, default=1e-4, help="post-warmup rate")
-    p.add_argument("--lr-min", type=float, default=4e-5, help="end-of-decay rate")
-    p.add_argument("--warmup-iters", type=int, default=20, help="linear warmup steps")
-    p.add_argument("--total-iters", type=int, default=200, help="total steps")
-    p.add_argument("--weight-decay", type=float, default=0.1,
-                   help="decoupled weight decay")
+    _add_train_flags(p, batch_size=4, lr_peak=1e-4, lr_min=4e-5, warmup_iters=20,
+                     total_iters=200)
     p.add_argument("--out-dir", required=True, help="output directory")
     p.set_defaults(func=cmd_extend)
 

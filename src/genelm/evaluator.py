@@ -2,10 +2,9 @@
 context-length sweep that compares checkpoints across eval lengths.
 
 Negative log-likelihoods are pooled token-weighted over all scored
-positions across sequences (per-sequence values are available through
-per_sequence_stats, per-position ones through score). PAD/UNK targets
-contribute to neither numerator nor denominator. ppl is always
-exp(mean_nll) of the same report row.
+positions across sequences (per-position values are available through
+score). PAD/UNK targets contribute to neither numerator nor denominator.
+ppl is always exp(mean_nll) of the same report row.
 """
 
 from __future__ import annotations
@@ -51,18 +50,6 @@ def _totals(model, seq) -> tuple[float, int, int]:
     # sum the scored values only: zeros in between would regroup numpy's
     # pairwise summation and change the last bits
     return float(nll[mask].sum()), int(mask.sum()), int(correct.sum())
-
-
-def per_sequence_stats(model, sequences) -> list[dict]:
-    """Per-sequence mean NLL / ppl / accuracy rows (sequence-weighted view)."""
-    rows = []
-    for i, seq in enumerate(sequences):
-        s, n, c = _totals(model, seq)
-        rows.append({"index": i, "n_scored": n,
-                     "mean_nll": s / n if n else None,
-                     "ppl": math.exp(s / n) if n else None,
-                     "accuracy": c / n if n else None})
-    return rows
 
 
 def corpus_stats(model, sequences) -> tuple[float, int, int]:
@@ -134,32 +121,6 @@ class PerplexityReport:
                     "mean_nll": r.mean_nll, "supported": r.supported,
                 }) + "\n")
 
-    @classmethod
-    def read_jsonl(cls, path: str | os.PathLike) -> "PerplexityReport":
-        rows = []
-        with open(path, encoding="ascii") as f:
-            for line in f:
-                d = json.loads(line)
-                rows.append(ReportRow(**d))
-        return cls(rows)
-
-    @classmethod
-    def read_csv(cls, path: str | os.PathLike) -> "PerplexityReport":
-        rows = []
-        with open(path, encoding="ascii") as f:
-            header = f.readline().rstrip("\n")
-            if header != CSV_HEADER:
-                raise ValueError(f"unexpected CSV header: {header!r}")
-            for line in f:
-                mid, length, ppl, acc, nseq, ntok = line.rstrip("\n").split(",")
-                rows.append(ReportRow(
-                    model_id=mid, eval_length=int(length),
-                    ppl=float(ppl) if ppl else None,
-                    recon_acc=float(acc) if acc else None,
-                    n_sequences=int(nseq), n_scored_tokens=int(ntok),
-                    supported=bool(ppl)))
-        return cls(rows)
-
 
 def length_sweep(models, records, lengths, *,
                  max_ambiguous_fraction: float = 0.1,
@@ -168,14 +129,16 @@ def length_sweep(models, records, lengths, *,
 
     `models` is a list of (model_id, model) pairs. Lengths beyond a model's
     context produce rows marked unsupported instead of extrapolating.
+    `max_sequences` caps the windows scored per length (None: all of them).
     """
+    if max_sequences is not None and max_sequences < 1:
+        raise ValueError(f"max_sequences must be >= 1, got {max_sequences}")
     report = PerplexityReport()
     for length in lengths:
         if length < 2:
             raise ValueError(f"eval length must be >= 2, got {length}")
         ws = extract_windows(records, length, max_ambiguous_fraction)
-        windows = ws.windows[:max_sequences] if max_sequences else ws.windows
-        seqs = [encode(w) for w in windows]
+        seqs = [encode(w) for w in ws.windows[:max_sequences]]
         for model_id, model in models:
             if length > model.max_seq_len:
                 report.rows.append(ReportRow(

@@ -50,33 +50,11 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data.reshape(()))
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def tensor(x, requires_grad: bool = False, dtype=np.float32) -> Tensor:
-    """Wrap array-like data as a leaf tensor (copies into `dtype`)."""
-    data = np.array(x, dtype=dtype)
-    return Tensor(data, requires_grad=requires_grad)
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], bwd: Callable) -> Tensor:
@@ -200,36 +178,20 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """(..., k) @ (k, n): a stack of rows times a weight matrix, as one GEMM."""
     ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-D operands, got {ad.shape} @ {bd.shape}")
-    if ad.shape[-1] != bd.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {ad.shape} @ {bd.shape}")
-
-    if bd.ndim == 2:
-        # dominant case: stack of rows times a weight matrix -> one GEMM
-        lead = ad.shape[:-1]
-        a2 = ad.reshape(-1, ad.shape[-1])
-        out = (a2 @ bd).reshape(*lead, bd.shape[1])
-
-        def bwd(g):
-            g2 = g.reshape(-1, bd.shape[1])
-            if a.requires_grad:
-                _accum(a, (g2 @ bd.T).reshape(ad.shape))
-            if b.requires_grad:
-                _accum(b, a2.T @ g2)
-
-        return _result(out, (a, b), bwd)
-
-    if ad.shape[:-2] != bd.shape[:-2]:
-        raise ShapeError(f"matmul batch dimensions disagree: {ad.shape} @ {bd.shape}")
-    out = np.matmul(ad, bd)
+    if ad.ndim < 2 or bd.ndim != 2 or ad.shape[-1] != bd.shape[0]:
+        raise ShapeError(f"matmul needs (..., k) @ (k, n), got {ad.shape} @ {bd.shape}")
+    lead = ad.shape[:-1]
+    a2 = ad.reshape(-1, ad.shape[-1])
+    out = (a2 @ bd).reshape(*lead, bd.shape[1])
 
     def bwd(g):
+        g2 = g.reshape(-1, bd.shape[1])
         if a.requires_grad:
-            _accum(a, np.matmul(g, bd.swapaxes(-1, -2)))
+            _accum(a, (g2 @ bd.T).reshape(ad.shape))
         if b.requires_grad:
-            _accum(b, np.matmul(ad.swapaxes(-1, -2), g))
+            _accum(b, a2.T @ g2)
 
     return _result(out, (a, b), bwd)
 

@@ -65,9 +65,9 @@ def mcc(preds, targets) -> float | None:
 
 def f1(preds, targets, averaging: str = "binary",
        n_classes: int | None = None) -> float:
-    """F1 score. averaging: "binary" (class 1 is positive), "macro"
-    (unweighted mean of per-class F1), or "micro". A class with no true or
-    predicted members contributes an F1 of 0 to the macro mean."""
+    """F1 score. averaging: "binary" (class 1 is positive) or "macro"
+    (unweighted mean of per-class F1). A class with no true or predicted
+    members contributes an F1 of 0 to the macro mean."""
     p, t = _ints(preds), _ints(targets)
     if len(p) != len(t) or len(p) == 0:
         raise ValueError("need equal-length non-empty predictions and targets")
@@ -85,12 +85,6 @@ def f1(preds, targets, averaging: str = "binary",
                else np.union1d(p, t))
     if averaging == "macro":
         return float(np.mean([class_f1(int(k)) for k in classes]))
-    if averaging == "micro":
-        tp = sum(int(((p == k) & (t == k)).sum()) for k in classes)
-        fp = sum(int(((p == k) & (t != k)).sum()) for k in classes)
-        fn = sum(int(((p != k) & (t == k)).sum()) for k in classes)
-        denom = 2 * tp + fp + fn
-        return 2 * tp / denom if denom else 0.0
     raise ValueError(f"unknown averaging {averaging!r}")
 
 

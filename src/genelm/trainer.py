@@ -14,7 +14,7 @@ import math
 import os
 import time
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -216,8 +216,11 @@ def save_checkpoint(ckpt: Checkpoint, path: str | os.PathLike) -> None:
         raise
 
 
-def load_checkpoint(path: str | os.PathLike,
-                    expected_config: ModelConfig | None = None) -> Checkpoint:
+def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
+    """Read a checkpoint written by save_checkpoint. The tensor manifest is
+    checked against the header's own model_config: a model tensor that is
+    missing or has another shape is a CheckpointFormatError naming it (extra
+    tensors, such as a finetuned classifier head, are allowed)."""
     with open(path, "rb") as f:
         magic = f.readline().decode("ascii", errors="replace").rstrip("\n")
         if magic != CKPT_MAGIC:
@@ -243,6 +246,13 @@ def load_checkpoint(path: str | os.PathLike,
         train_config = TrainConfig(**header["train_config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"{path}: malformed header: {exc!r}") from exc
+    for n, want in param_shapes(model_config).items():
+        if n not in shapes:
+            raise CheckpointFormatError(f"{path}: lacks tensor {n}")
+        if shapes[n] != want:
+            raise CheckpointFormatError(
+                f"{path}: tensor {n} has shape {shapes[n]}, the header's "
+                f"model_config needs {want}")
     if zlib.crc32(payload) != crc:
         raise CheckpointFormatError(f"{path}: payload checksum mismatch")
 
@@ -263,17 +273,6 @@ def load_checkpoint(path: str | os.PathLike,
             d[n] = flat[off:off + size].reshape(shapes[n]).copy()
             off += size
         parts.append(d)
-
-    if expected_config is not None:
-        want = param_shapes(expected_config)
-        for n in names:
-            if n in want and tuple(want[n]) != shapes[n]:
-                raise ShapeError(
-                    f"tensor {n}: checkpoint shape {shapes[n]} does not match "
-                    f"config shape {tuple(want[n])}")
-        missing = set(want) - set(names)
-        if missing:
-            raise ShapeError(f"checkpoint lacks tensors: {sorted(missing)}")
 
     return Checkpoint(
         model_config=model_config,
@@ -449,51 +448,3 @@ def extend_context(ckpt: Checkpoint, new_context_len: int,
     prep = replace(prep, train_config=extension_config)
     return train_stage(prep.model_config, extension_config, data,
                        start=prep, stage_index=prep.stage, log_path=log_path)
-
-
-# ---------------------------------------------------------------------------
-# multi-stage plans
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Stage:
-    context_len: int
-    train_config: TrainConfig
-    rope_base: float | None = None  # None: stage 0 uses the model default,
-    #                                 later stages the squared-ratio rescale
-
-
-@dataclass
-class StagePlan:
-    stages: list[Stage] = field(default_factory=list)
-
-    def __post_init__(self):
-        lens = [s.context_len for s in self.stages]
-        if any(b <= a for a, b in zip(lens, lens[1:])):
-            raise ValueError(f"stage context lengths must strictly increase: {lens}")
-
-
-def run_plan(plan: StagePlan, base_config: ModelConfig, windows_by_stage,
-             *, data_seed: int = 0, init_seed: int = 0,
-             ) -> tuple[Checkpoint, list[list[dict]]]:
-    """Train every stage in order; stage i+1 starts from stage i's weights.
-
-    `windows_by_stage[i]` is the (n, >=context_len) uint8 shard for stage i
-    (the same corpus re-windowed at each stage's length).
-    """
-    if len(windows_by_stage) != len(plan.stages):
-        raise DataConfigError("need one shard per stage")
-    ckpt: Checkpoint | None = None
-    logs: list[list[dict]] = []
-    for i, stage in enumerate(plan.stages):
-        if ckpt is None:
-            cfg = replace(base_config, max_seq_len=stage.context_len,
-                          rope_base=stage.rope_base or base_config.rope_base)
-            ckpt, rows = train_stage(cfg, stage.train_config, windows_by_stage[i],
-                                     data_seed=data_seed, stage_index=i,
-                                     init_seed=init_seed)
-        else:
-            ckpt, rows = extend_context(ckpt, stage.context_len, stage.rope_base,
-                                        stage.train_config, windows_by_stage[i])
-        logs.append(rows)
-    return ckpt, logs

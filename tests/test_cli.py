@@ -150,6 +150,40 @@ class TestUsageErrors:
         assert rc == 2
         assert "malformed header" in capsys.readouterr().err
 
+    def test_header_config_disagreeing_with_tensors_exits_2(self, prepared, tmp_path,
+                                                            capsys):
+        magic, header, payload = (prepared / "run" / "checkpoint.bin").read_bytes().split(
+            b"\n", 2)
+        header = json.loads(header)
+        header["model_config"]["ffn_dim"] *= 2
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\n".join([magic, json.dumps(header).encode(), payload]))
+        rc = run(["eval-ppl", "--checkpoint", str(bad),
+                  "--shards", str(prepared / "data" / "eval.tokens")])
+        assert rc == 2
+        assert "tensor layers.0.w1 " in capsys.readouterr().err
+
+    def test_max_sequences_below_1_exits_2(self, prepared, tmp_path, capsys):
+        ckpt = str(prepared / "run" / "checkpoint.bin")
+        for n in ("0", "-1"):
+            rc = run(["eval-ppl", "--checkpoint", ckpt, "--max-sequences", n,
+                      "--shards", str(prepared / "data" / "eval.tokens")])
+            assert rc == 2
+            assert "max-sequences must be >= 1" in capsys.readouterr().err
+            rc = run(["sweep", "--checkpoints", ckpt, "--synthetic", "length=2000",
+                      "--lengths", "32", "--max-sequences", n,
+                      "--out-dir", str(tmp_path / "sw")])
+            assert rc == 2
+            assert "max_sequences must be >= 1" in capsys.readouterr().err
+
+    def test_finetune_batch_size_0_exits_2(self, prepared, tmp_path, capsys):
+        rc = run(["finetune", "--checkpoint", str(prepared / "run" / "checkpoint.bin"),
+                  "--train-dataset", str(tmp_path / "tr.tsv"),
+                  "--test-dataset", str(tmp_path / "te.tsv"), "--batch-size", "0",
+                  "--out-dir", str(tmp_path / "ft")])
+        assert rc == 2
+        assert "--batch-size must be >= 1" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path, capsys):
@@ -269,6 +303,22 @@ class TestPipelines:
         assert rc == 0
         record = json.loads((tmp_path / "m.json").read_text())
         assert "f1_macro" in record
+
+    def test_train_without_steps_exits_0(self, prepared, tmp_path, capsys):
+        model = ["--shards", str(prepared / "data" / "train.tokens"),
+                 "--hidden", "32", "--n-layers", "1", "--n-heads", "2",
+                 "--ffn-dim", "48", "--context-len", "64"]
+        # resuming a checkpoint that is already at --total-iters
+        rc = run(["train", *model, "--init-from", str(prepared / "run" / "checkpoint.bin"),
+                  "--batch-size", "8", "--total-iters", "30", "--warmup-iters", "5",
+                  "--lr-peak", "2e-3", "--lr-min", "2e-4", "--out-dir", str(tmp_path / "a")])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "(no steps)"
+        rc = run(["train", *model, "--total-iters", "0", "--warmup-iters", "0",
+                  "--out-dir", str(tmp_path / "b")])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "(no steps)"
+        assert TR.load_checkpoint(tmp_path / "b" / "checkpoint.bin").step == 0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf blowup is the point
     def test_divergence_exits_1(self, prepared, tmp_path, capsys):

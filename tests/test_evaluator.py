@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -119,19 +120,6 @@ class TestPerplexity:
         with pytest.raises(ContextOverflowError):
             E.perplexity(stub, [rng.integers(2, 6, size=17)])
 
-    def test_per_sequence_stats_consistent_with_pooled(self, rng):
-        model = LanguageModel.init(
-            ModelConfig(hidden=16, n_layers=1, n_heads=2, ffn_dim=24,
-                        max_seq_len=32), seed=2)
-        seqs = [rng.integers(2, 6, size=20) for _ in range(4)]
-        rows = E.per_sequence_stats(model, seqs)
-        assert [r["index"] for r in rows] == [0, 1, 2, 3]
-        pooled_nll = (sum(r["mean_nll"] * r["n_scored"] for r in rows)
-                      / sum(r["n_scored"] for r in rows))
-        _, mean_nll = E.perplexity(model, seqs)
-        assert abs(pooled_nll - mean_nll) < 1e-12
-
-
 class TestScoringRule:
     def test_next_token_targets_masks_last_and_pad_unk(self, rng):
         batch = rng.integers(2, 6, size=(3, 20))
@@ -209,21 +197,21 @@ class TestLengthSweep:
         assert by_key[("long", 64)].ppl is not None
 
     def test_round_trip_csv_and_jsonl(self, tmp_path):
-        model = self.make_model()
-        rec = G.generate_synthetic_genome(5, 3000, 0, 0.0)
-        report = E.length_sweep([("m", model), ("n", self.make_model(16))],
-                                [rec], [8, 32])
+        report = E.PerplexityReport([
+            E.ReportRow("m", 32, 3.75, 0.3125, 4, 124, 1.3217558399823195),
+            E.ReportRow("n", 64, None, None, 2, 0, None, supported=False)])
         csv_path, jsonl_path = tmp_path / "r.csv", tmp_path / "r.jsonl"
         report.write_csv(csv_path)
         report.write_jsonl(jsonl_path)
-        back_csv = E.PerplexityReport.read_csv(csv_path)
-        for a, b in zip(report.rows, back_csv.rows):
-            assert (a.model_id, a.eval_length, a.ppl, a.recon_acc,
-                    a.n_sequences, a.n_scored_tokens, a.supported) == \
-                   (b.model_id, b.eval_length, b.ppl, b.recon_acc,
-                    b.n_sequences, b.n_scored_tokens, b.supported)
-        back_jsonl = E.PerplexityReport.read_jsonl(jsonl_path)
-        assert back_jsonl == report
+        assert csv_path.read_text().splitlines() == [
+            E.CSV_HEADER, "m,32,3.75,0.3125,4,124", "n,64,,,2,0"]
+        assert [json.loads(line) for line in jsonl_path.read_text().splitlines()] == [
+            {"model_id": "m", "eval_length": 32, "ppl": 3.75, "recon_acc": 0.3125,
+             "n_sequences": 4, "n_scored_tokens": 124,
+             "mean_nll": 1.3217558399823195, "supported": True},
+            {"model_id": "n", "eval_length": 64, "ppl": None, "recon_acc": None,
+             "n_sequences": 2, "n_scored_tokens": 0, "mean_nll": None,
+             "supported": False}]
 
     def test_csv_header_fixed(self, tmp_path):
         report = E.PerplexityReport([E.ReportRow("m", 8, 4.0, 0.25, 1, 7, 1.38)])

@@ -11,7 +11,7 @@ from genelm import kernels as K
 from genelm import tokenizer as T
 from genelm import trainer as TR
 from genelm import genome_io as G
-from genelm.errors import (CheckpointFormatError, DataConfigError, ShapeError,
+from genelm.errors import (CheckpointFormatError, DataConfigError,
                            TrainingDivergedError)
 from genelm.model import LanguageModel, ModelConfig
 
@@ -260,11 +260,17 @@ class TestCheckpoint:
             TR.load_checkpoint(path)
 
     def test_mismatched_config_names_tensor(self, tmp_path, rng):
+        """The header's own model_config must fit the tensor manifest."""
         path = tmp_path / "s.bin"
         TR.save_checkpoint(self.make(rng), path)
-        other = dataclasses.replace(SMALL, hidden=32, ffn_dim=48)
-        with pytest.raises(ShapeError, match="token_embedding"):
-            TR.load_checkpoint(path, expected_config=other)
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        for edit, tensor in (({"ffn_dim": 48}, "layers.0.w1"),
+                             ({"hidden": 32}, "token_embedding")):
+            bad = json.loads(header)
+            bad["model_config"].update(edit)
+            path.write_bytes(b"\n".join([magic, json.dumps(bad).encode(), payload]))
+            with pytest.raises(CheckpointFormatError, match=f"tensor {tensor} "):
+                TR.load_checkpoint(path)
 
 
 class TestTrainStage:
@@ -372,17 +378,14 @@ class TestExtension:
         rec = G.generate_synthetic_genome(8, 40_000, 1, 2.0)
         cfg = TR.TrainConfig(batch_size=4, total_iters=6, warmup_iters=1,
                              lr_peak=1e-3, lr_min=1e-4)
-        plan = TR.StagePlan([TR.Stage(32, cfg), TR.Stage(64, cfg),
-                             TR.Stage(128, cfg)])
         shards = [T.encode_windows(G.extract_windows([rec], n).windows)
                   for n in (32, 64, 128)]
-        final, logs = TR.run_plan(plan, SMALL, shards)
-        assert final.model_config.max_seq_len == 128
-        assert final.stage == 2
+        ckpt, rows = TR.train_stage(SMALL, cfg, shards[0])
+        logs = [rows]
+        for n, shard in zip((64, 128), shards[1:]):
+            ckpt, rows = TR.extend_context(ckpt, n, None, cfg, shard)
+            logs.append(rows)
+        assert ckpt.model_config.max_seq_len == 128
+        assert ckpt.stage == 2
         for stage_rows in logs:
             assert all(math.isfinite(r["loss"]) for r in stage_rows)
-
-    def test_plan_requires_increasing_lengths(self):
-        cfg = TR.TrainConfig(total_iters=1, warmup_iters=0)
-        with pytest.raises(ValueError):
-            TR.StagePlan([TR.Stage(64, cfg), TR.Stage(64, cfg)])
