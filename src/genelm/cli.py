@@ -264,6 +264,8 @@ def cmd_probe(args) -> int:
 def cmd_finetune(args) -> int:
     if args.batch_size < 1:
         raise GenelmError(f"--batch-size must be >= 1, got {args.batch_size}")
+    if args.epochs < 1:
+        raise GenelmError(f"--epochs must be >= 1, got {args.epochs}")
     ckpt = TR.load_checkpoint(args.checkpoint)
     train_ds = D.load_labeled_dataset(args.train_dataset)
     test_ds = D.load_labeled_dataset(args.test_dataset)

@@ -18,8 +18,7 @@ from .errors import DataConfigError
 from .kernels import Tensor
 from .model import INIT_STD, LanguageModel
 from .tokenizer import encode
-from .trainer import (AdamState, BatchSchedule, Checkpoint, TrainConfig,
-                      finetune_config, optimizer_step)
+from .trainer import AdamState, BatchSchedule, Checkpoint, TrainConfig, optimizer_step
 
 log = logging.getLogger(__name__)
 
@@ -265,10 +264,8 @@ def _task_metrics(task_kind: str, k: int, logits: np.ndarray,
 
 
 def finetune_classify(ckpt: Checkpoint, train_ds: LabeledDataset,
-                      test_ds: LabeledDataset, mode: str = "all_layers",
-                      config: TrainConfig | None = None, *,
-                      epochs: int = 2, head_seed: int = 0,
-                      ) -> FinetuneResult:
+                      test_ds: LabeledDataset, mode: str = "all_layers", *,
+                      config: TrainConfig, head_seed: int = 0) -> FinetuneResult:
     """Attach a fresh linear head over the mean-pooled final hidden state
     and train it (head_only) or the whole network (all_layers).
 
@@ -303,13 +300,8 @@ def finetune_classify(ckpt: Checkpoint, train_ds: LabeledDataset,
         trainable["classifier.w"] = head_w
         trainable["classifier.b"] = head_b
 
-    n = len(train_ds)
-    if config is None:
-        steps_per_epoch = max(1, math.ceil(n / 8))
-        config = finetune_config(epochs * steps_per_epoch)
-    batch = config.batch_size
     state = AdamState(trainable)
-    schedule = BatchSchedule(n, batch, config.seed)
+    schedule = BatchSchedule(len(train_ds), config.batch_size, config.seed)
     width = train_ids.shape[1]
 
     for i in range(config.total_iters):

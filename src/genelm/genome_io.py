@@ -10,6 +10,8 @@ import gzip
 import io
 import math
 import os
+import re
+import string
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,56 +53,114 @@ class WindowSet:
         return len(self.windows)
 
 
-def _open_lines(source):
-    """Yield text lines from a path (gzip by extension) or a file object."""
-    if isinstance(source, (str, os.PathLike)):
-        path = os.fspath(source)
-        opener = gzip.open if path.endswith(".gz") else open
-        return opener(path, "rt", encoding="ascii", newline=""), True
-    if isinstance(source, io.TextIOBase):
-        return source, False
-    # binary stream
-    return io.TextIOWrapper(source, encoding="ascii", newline=""), False
+_CHUNK = 1 << 17  # bytes (or characters of a text stream) read per call
+_LINE_ENDS = b"\r\n"
+_LETTERS = string.ascii_letters.encode("ascii")
+# uppercases ASCII letters and keeps every other byte
+_UPPER = bytes.maketrans(string.ascii_lowercase.encode("ascii"),
+                         string.ascii_uppercase.encode("ascii"))
+
+
+def _line_blocks(stream):
+    """Yield a stream's bytes in blocks of whole lines; a text stream is
+    UTF-8 encoded first. No block ends between the \\r and \\n of one
+    line end, so every block starts a line."""
+    pending: list[bytes] = []  # pieces of a line that spans chunks
+    while chunk := stream.read(_CHUNK):
+        if isinstance(chunk, str):
+            chunk = chunk.encode("utf-8", "surrogatepass")
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, len(chunk) - 1)) + 1
+        if cut == 0:
+            pending.append(chunk)
+            continue
+        pending.append(chunk[:cut])
+        yield b"".join(pending)
+        pending = [chunk[cut:]]
+    if tail := b"".join(pending):
+        yield tail
+
+
+def _next_header(data: bytes, pos: int) -> int:
+    """Offset of the next line at or after pos that starts with '>'."""
+    h = data.find(b">", pos)
+    while h > 0 and data[h - 1] not in _LINE_ENDS:
+        h = data.find(b">", h + 1)
+    return len(data) if h < 0 else h
+
+
+def _line_end(data: bytes, pos: int) -> int:
+    end = data.find(b"\n", pos)
+    end = len(data) if end < 0 else end
+    cr = data.find(b"\r", pos, end)
+    return end if cr < 0 else cr
 
 
 def parse_fasta(source) -> list[FastaRecord]:
     """Parse FASTA from a path or stream into records, in file order.
 
+    Lines end at \\n, \\r\\n or a lone \\r; blank lines are skipped.
     Wrapped sequence lines are concatenated and uppercased (soft-masked
     lowercase is information-free over a 4-letter alphabet). Sequence data
-    before any header, or a non-letter character inside a sequence line,
-    raises MalformedFastaError with the line number.
+    before any header, an empty header, a non-letter character inside a
+    sequence line, or a non-ASCII byte in a binary source raises
+    MalformedFastaError with the line number.
     """
-    stream, owns = _open_lines(source)
+    if isinstance(source, (str, os.PathLike)):
+        path = os.fspath(source)
+        with (gzip.open if path.endswith(".gz") else open)(path, "rb") as stream:
+            return parse_fasta(stream)
+    text = isinstance(source, io.TextIOBase)
+    codec = ("utf-8", "surrogatepass") if text else ("ascii", "strict")
     records: list[FastaRecord] = []
     header: str | None = None
     parts: list[str] = []
-    try:
-        for lineno, raw in enumerate(stream, start=1):
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            if line.startswith(">"):
-                if header is not None:
-                    records.append(FastaRecord(header, "".join(parts)))
-                header = line[1:].strip()
-                if not header:
-                    raise MalformedFastaError("empty header", lineno)
-                parts = []
-            else:
-                if header is None:
-                    raise MalformedFastaError(
-                        "sequence data before any '>' header", lineno)
-                if not line.isascii() or not line.isalpha():
-                    bad = next(ch for ch in line if not (ch.isascii() and ch.isalpha()))
-                    raise MalformedFastaError(
-                        f"invalid character {bad!r} in sequence", lineno)
-                parts.append(line.upper())
-        if header is not None:
-            records.append(FastaRecord(header, "".join(parts)))
-    finally:
-        if owns:
-            stream.close()
+    lines_before = 0  # line ends before the current block
+
+    def error(message: str, pos: int) -> MalformedFastaError:
+        # lines are counted only here, on the way out
+        ends = data.count(b"\n", 0, pos) + data.count(b"\r", 0, pos) - data.count(b"\r\n", 0, pos)
+        return MalformedFastaError(message, lines_before + ends + 1)
+
+    for data in _line_blocks(source):
+        ends = 0  # line-end bytes in this block
+        pos = 0
+        while pos < len(data):
+            h = _next_header(data, pos)
+            if h > pos:
+                seq = data[pos:h].translate(_UPPER, _LINE_ENDS)
+                ends += h - pos - len(seq)
+                if seq and header is None:
+                    first = h - len(data[pos:h].lstrip(_LINE_ENDS))
+                    raise error("sequence data before any '>' header", first)
+                if seq.translate(None, _LETTERS):
+                    bad = pos + re.search(rb"[^A-Za-z\r\n]", data[pos:h]).start()
+                    if data[bad] < 0x80:
+                        what = f"invalid character {chr(data[bad])!r}"
+                    elif text:
+                        char = data[bad:_line_end(data, bad)].decode(*codec)[0]
+                        what = f"invalid character {char!r}"
+                    else:
+                        what = f"non-ASCII byte {data[bad]:#04x}"
+                    raise error(f"{what} in sequence", bad)
+                parts.append(seq.decode("ascii"))
+            if h == len(data):
+                break
+            if header is not None:
+                records.append(FastaRecord(header, "".join(parts)))
+            pos = _line_end(data, h)
+            try:
+                header = data[h + 1:pos].decode(*codec).strip()
+            except UnicodeDecodeError as exc:
+                bad = h + 1 + exc.start
+                raise error(f"non-ASCII byte {data[bad]:#04x} in header", bad) from None
+            if not header:
+                raise error("empty header", h)
+            parts = []
+        if b"\r" in data:
+            ends -= data.count(b"\r\n")
+        lines_before += ends
+    if header is not None:
+        records.append(FastaRecord(header, "".join(parts)))
     return records
 
 
@@ -115,11 +175,8 @@ def serialize_fasta(records: list[FastaRecord], width: int = 60) -> str:
     return "".join(chunks)
 
 
-def _ambiguous_count(window: str) -> int:
-    n = len(window)
-    for b in BASES:
-        n -= window.count(b)
-    return n
+_COUNT_BYTES = 1 << 17  # window bytes whose ACGT counts are taken at once
+_BASE_BYTES = BASES.encode("ascii")
 
 
 def extract_windows(records: list[FastaRecord], window_len: int,
@@ -138,16 +195,26 @@ def extract_windows(records: list[FastaRecord], window_len: int,
     stats = SourceStats()
     windows: list[str] = []
     origins: list[tuple[str, int]] = []
+    rows = max(1, _COUNT_BYTES // window_len)
     for rec in records:
         seq = rec.sequence
         stats.total_bp_read += len(seq)
-        for start in range(0, len(seq) - window_len + 1, window_len):
-            w = seq[start:start + window_len]
-            if _ambiguous_count(w) / window_len > max_ambiguous_fraction:
-                stats.windows_dropped_ambiguous += 1
-                continue
-            windows.append(w)
-            origins.append((rec.header, start))
+        n_windows = len(seq) // window_len
+        for first in range(0, n_windows, rows):
+            a = first * window_len
+            b = min(first + rows, n_windows) * window_len
+            # one byte per character: a non-ASCII one becomes '?', which is not ACGT
+            w = np.frombuffer(seq[a:b].encode("ascii", "replace"),
+                              dtype=np.uint8).reshape(-1, window_len)
+            is_base = w == _BASE_BYTES[0]
+            for code in _BASE_BYTES[1:]:
+                is_base |= w == code
+            ambiguous = window_len - is_base.sum(axis=1)
+            dropped = ambiguous / window_len > max_ambiguous_fraction
+            stats.windows_dropped_ambiguous += int(dropped.sum())
+            starts = (a + window_len * np.flatnonzero(~dropped)).tolist()
+            windows.extend([seq[s:s + window_len] for s in starts])
+            origins.extend([(rec.header, s) for s in starts])
     stats.windows_kept = len(windows)
     return WindowSet(windows, window_len, stats, origins)
 

@@ -146,12 +146,23 @@ def sum_all(a: Tensor) -> Tensor:
 
 def silu(a: Tensor) -> Tensor:
     x = a.data
-    z = np.exp(-np.abs(x))
-    sig = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z)).astype(x.dtype)
+    z = np.abs(x)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    # sigmoid(x) is 1 / (1 + z) for x >= 0 and z / (1 + z) below; z <= 1 for
+    # x >= 0, so the max picks the numerator, and a NaN propagates
+    sig = np.maximum(z, x >= 0, dtype=x.dtype)
+    z += 1.0
+    sig /= z
     out = x * sig
 
     def bwd(g):
-        _accum(a, g * (sig * (1.0 + x * (1.0 - sig))))
+        d = 1.0 - sig
+        d *= x
+        d += 1.0
+        d *= sig
+        d *= g
+        _accum(a, d)
 
     return _result(out, (a,), bwd)
 

@@ -9,7 +9,9 @@ PAD to the empty string.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import string
 
 import numpy as np
 
@@ -24,22 +26,28 @@ _MIN_BASE_ID = min(BASE_IDS.values())  # ids below it (PAD, UNK) are never score
 
 SHARD_MAGIC = "GENELM-TOKENS v1"
 
-_ENCODE_LUT = np.full(256, -1, dtype=np.int16)
-for _c in range(ord("A"), ord("Z") + 1):
-    _ENCODE_LUT[_c] = _ENCODE_LUT[ord(chr(_c).lower())] = BASE_IDS.get(chr(_c), UNK_ID)
+_INVALID = 255  # what _ENCODE maps every byte that is not an ASCII letter to
+_ENCODE = bytes(BASE_IDS.get(chr(c).upper(), UNK_ID) if chr(c) in string.ascii_letters
+                else _INVALID for c in range(256))
+_ENCODE_BYTES = 1 << 17  # window characters encoded per batch
 
 _DECODE = {0: "", 1: "N", 2: "A", 3: "C", 4: "G", 5: "T"}
+
+
+def _translate(dna: str) -> bytes:
+    """Token ids of dna as bytes, one per character."""
+    # one byte per character: a non-ASCII one becomes '?', which _ENCODE rejects
+    ids = dna.encode("ascii", "replace").translate(_ENCODE)
+    bad = ids.find(_INVALID)
+    if bad >= 0:
+        raise ValueError(f"cannot encode character {dna[bad]!r}: not an ASCII letter")
+    return ids
 
 
 def encode(dna: str) -> np.ndarray:
     """Map an ASCII-letter string to a uint8 id array, one id per char;
     soft-masked lowercase bases get their uppercase ids."""
-    raw = np.frombuffer(dna.encode("ascii", errors="strict"), dtype=np.uint8)
-    ids = _ENCODE_LUT[raw]
-    if (ids < 0).any():
-        bad = dna[int(np.argmax(ids < 0))]
-        raise ValueError(f"cannot encode character {bad!r}: not an ASCII letter")
-    return ids.astype(np.uint8)
+    return np.frombuffer(bytearray(_translate(dna)), dtype=np.uint8)
 
 
 def decode(ids) -> str:
@@ -69,7 +77,16 @@ def encode_windows(windows: list[str]) -> np.ndarray:
     """Encode equal-length windows into a (n, window_len) uint8 matrix."""
     if not windows:
         return np.zeros((0, 0), dtype=np.uint8)
-    return np.stack([encode(w) for w in windows])
+    lengths = set(map(len, windows))
+    if len(lengths) > 1:
+        raise ValueError(f"windows differ in length: {sorted(lengths)[:4]}")
+    ids = np.empty((len(windows), lengths.pop()), dtype=np.uint8)
+    rows = max(1, _ENCODE_BYTES // max(ids.shape[1], 1))
+    for first in range(0, len(ids), rows):
+        part = ids[first:first + rows]
+        part[:] = np.frombuffer(_translate("".join(windows[first:first + rows])),
+                                dtype=np.uint8).reshape(part.shape)
+    return ids
 
 
 # ---------------------------------------------------------------------------
@@ -77,15 +94,27 @@ def encode_windows(windows: list[str]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def write_shard(path: str | os.PathLike, ids: np.ndarray) -> None:
-    """Write a (n_windows, window_len) uint8 id matrix as a shard file."""
+    """Write a (n_windows, window_len) uint8 id matrix as a shard file.
+
+    The shard is written to a temporary file next to `path`, which then
+    replaces `path`, so a failed write leaves any previous shard intact."""
     ids = np.ascontiguousarray(ids, dtype=np.uint8)
     if ids.ndim != 2:
         raise ValueError(f"shard ids must be 2-D, got shape {ids.shape}")
     header = (f"{SHARD_MAGIC} vocab={','.join(SYMBOLS)} "
               f"window_len={ids.shape[1]} n_windows={ids.shape[0]}\n")
-    with open(path, "wb") as f:
-        f.write(header.encode("ascii"))
-        f.write(ids.tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(header.encode("ascii"))
+            f.write(memoryview(ids))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def read_shard(path: str | os.PathLike) -> np.ndarray:

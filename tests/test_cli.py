@@ -85,6 +85,14 @@ class TestPrepare:
         err = capsys.readouterr().err
         assert "line 3" in err
 
+    def test_non_ascii_fasta_exit_2_names_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.fa"
+        bad.write_bytes(">r1\r\nACGT\r\nACGT\xc3\xa9AC\r\n".encode("latin-1"))
+        rc = run(["prepare", "--fasta", str(bad), "--window-len", "4",
+                  "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert "line 3: non-ASCII byte 0xc3" in capsys.readouterr().err
+
     def test_rerun_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -183,6 +191,15 @@ class TestUsageErrors:
                   "--out-dir", str(tmp_path / "ft")])
         assert rc == 2
         assert "--batch-size must be >= 1" in capsys.readouterr().err
+
+    def test_finetune_epochs_below_1_exits_2(self, prepared, tmp_path, capsys):
+        for n in ("0", "-1"):
+            rc = run(["finetune", "--checkpoint", str(prepared / "run" / "checkpoint.bin"),
+                      "--train-dataset", str(tmp_path / "tr.tsv"),
+                      "--test-dataset", str(tmp_path / "te.tsv"), "--epochs", n,
+                      "--out-dir", str(tmp_path / "ft")])
+            assert rc == 2
+            assert f"--epochs must be >= 1, got {n}" in capsys.readouterr().err
 
 
 class TestConfigFile:

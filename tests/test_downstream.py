@@ -208,7 +208,8 @@ class TestFinetune:
         empty = D.LabeledDataset([], np.zeros((0,), dtype=int), "binary", 2)
         full = D.LabeledDataset(["ACGT"], np.array([1]), "binary", 2)
         with pytest.raises(ValueError):
-            D.finetune_classify(checkpoint, empty, full)
+            D.finetune_classify(checkpoint, empty, full,
+                                config=TR.finetune_config(1, batch_size=8))
 
     def test_overlength_sequences_truncated_with_warning(self, checkpoint, rng, caplog):
         seqs = [random_dna(rng, 50) for _ in range(8)]  # context is 32
@@ -234,7 +235,7 @@ class TestFinetune:
         a = D.LabeledDataset(["ACGT"], np.array([1]), "binary", 2)
         b = D.LabeledDataset(["ACGT"], np.array([1]), "multiclass", 3)
         with pytest.raises(ValueError):
-            D.finetune_classify(checkpoint, a, b)
+            D.finetune_classify(checkpoint, a, b, config=TR.finetune_config(1, batch_size=8))
 
 
 class TestMultilabelMotifs:

@@ -1,6 +1,7 @@
 import gzip
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,110 @@ from genelm.errors import MalformedFastaError
 
 def parse_bytes(data: bytes):
     return G.parse_fasta(io.BytesIO(data))
+
+
+# ---------------------------------------------------------------------------
+# oracles: the straightforward line-by-line implementations that the
+# vectorised parser and windowing must reproduce exactly
+# ---------------------------------------------------------------------------
+
+def oracle_parse_fasta(data: bytes) -> list[G.FastaRecord]:
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline="")
+    records, header, parts = [], None, []
+    for lineno, raw in enumerate(stream, start=1):
+        line = raw.rstrip("\r\n")
+        if not line:
+            continue
+        if line.startswith(">"):
+            if header is not None:
+                records.append(G.FastaRecord(header, "".join(parts)))
+            header = line[1:].strip()
+            if not header:
+                raise MalformedFastaError("empty header", lineno)
+            parts = []
+        else:
+            if header is None:
+                raise MalformedFastaError("sequence data before any '>' header", lineno)
+            if not line.isascii() or not line.isalpha():
+                bad = next(ch for ch in line if not (ch.isascii() and ch.isalpha()))
+                raise MalformedFastaError(f"invalid character {bad!r} in sequence", lineno)
+            parts.append(line.upper())
+    if header is not None:
+        records.append(G.FastaRecord(header, "".join(parts)))
+    return records
+
+
+def oracle_extract_windows(records, window_len, max_ambiguous_fraction):
+    stats = G.SourceStats()
+    windows, origins = [], []
+    for rec in records:
+        seq = rec.sequence
+        stats.total_bp_read += len(seq)
+        for start in range(0, len(seq) - window_len + 1, window_len):
+            w = seq[start:start + window_len]
+            ambiguous = len(w) - sum(w.count(b) for b in "ACGT")
+            if ambiguous / window_len > max_ambiguous_fraction:
+                stats.windows_dropped_ambiguous += 1
+                continue
+            windows.append(w)
+            origins.append((rec.header, start))
+    stats.windows_kept = len(windows)
+    return G.WindowSet(windows, window_len, stats, origins)
+
+
+def outcome(parse, data):
+    """A parse's records, or the class, line number and message it raised."""
+    try:
+        return parse(data)
+    except MalformedFastaError as exc:
+        return type(exc), exc.line_number, str(exc)
+
+
+RUN_ALPHABETS = ["ACGT", "acgt", "N", "n", "RYKMSWBDHVrykmswbdhv"]
+BAD_ASCII = "09-*. \t>@[`{\x00\x7f"
+
+
+@st.composite
+def sequence_runs(draw, max_runs=6):
+    """Lowercase runs, IUPAC letters and N runs over a base background."""
+    runs = draw(st.lists(st.tuples(st.sampled_from(RUN_ALPHABETS), st.integers(0, 40)),
+                         max_size=max_runs))
+    return "".join(draw(st.text(alphabet=a, min_size=n, max_size=n)) for a, n in runs)
+
+
+@st.composite
+def fasta_text(draw):
+    """FASTA with \\n, \\r\\n and lone \\r line ends, blank lines, wrapped
+    records, headers with spaces and '>', and now and then a malformed line."""
+    def rarely():
+        return draw(st.sampled_from([False] * 9 + [True]))
+
+    lines = []
+    if rarely():
+        lines.append(draw(sequence_runs(2)) or "A")  # data before any header
+    for _ in range(draw(st.integers(0, 4))):
+        if rarely():
+            header = draw(st.sampled_from(["", " ", "\t "]))  # empty
+        else:
+            header = (draw(st.sampled_from(["", " ", "\t"]))
+                      + draw(st.text(alphabet="chr1>|=_.ab", min_size=1, max_size=8))
+                      + draw(st.sampled_from(["", " x y", "\t>z ", " "])))
+        lines.append(">" + header)
+        seq = draw(sequence_runs())
+        width = draw(st.integers(1, 30))
+        lines.extend(seq[i:i + width] for i in range(0, len(seq), width))
+    if lines and draw(st.sampled_from([False] * 3 + [True])):
+        at = draw(st.integers(0, len(lines) - 1))
+        pos = draw(st.integers(0, len(lines[at])))
+        lines[at] = lines[at][:pos] + draw(st.sampled_from(BAD_ASCII)) + lines[at][pos:]
+    out = []
+    for line in lines:
+        for _ in range(draw(st.integers(0, 3)) // 3):
+            out.append(draw(st.sampled_from(["\n", "\r\n", "\r"])))  # blank line
+        out.append(line + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    if out and draw(st.booleans()):
+        out[-1] = out[-1].rstrip("\r\n")
+    return "".join(out).encode("ascii")
 
 
 class TestParseFasta:
@@ -38,6 +143,11 @@ class TestParseFasta:
         assert exc.value.line_number == 3
         assert "9" in str(exc.value)
 
+    def test_gt_inside_sequence_line_is_invalid(self):
+        with pytest.raises(MalformedFastaError, match="'>'") as exc:
+            parse_bytes(b">a>b\nAC>GT\n")
+        assert exc.value.line_number == 2
+
     def test_empty_header(self):
         with pytest.raises(MalformedFastaError):
             parse_bytes(b">\nACGT\n")
@@ -57,6 +167,73 @@ class TestParseFasta:
         recs = parse_bytes(b">a\nAC\n\nGT\n")
         assert recs[0].sequence == "ACGT"
 
+    def test_line_ends_cr_crlf_lf_equivalent(self):
+        want = [G.FastaRecord("a b", "ACGTNN"), G.FastaRecord("c", "TT")]
+        for end in (b"\n", b"\r\n", b"\r"):
+            data = end.join([b">a b", b"acgt", b"", b"nN", b">c", b"TT"]) + end
+            assert parse_bytes(data) == want, end
+
+    def test_lone_cr_ends_a_line(self):
+        with pytest.raises(MalformedFastaError) as exc:
+            parse_bytes(b">a\rAC\rA!\n")
+        assert exc.value.line_number == 3
+
+    @pytest.mark.parametrize("how", ["path", "binary", "text"])
+    def test_non_ascii_byte_names_its_line(self, tmp_path, how):
+        data = ">r1\nACGT\nACGT\xc3\xa9AC\n".encode("latin-1")
+        if how == "path":
+            source = tmp_path / "x.fa"
+            source.write_bytes(data)
+        elif how == "binary":
+            source = io.BytesIO(data)
+        else:
+            source = io.StringIO(data.decode("latin-1").replace("\xc3\xa9", "\xe9"))
+        with pytest.raises(MalformedFastaError) as exc:
+            G.parse_fasta(source)
+        assert exc.value.line_number == 3
+        assert ("'\xe9'" if how == "text" else "0xc3") in str(exc.value)
+
+    def test_non_ascii_header_byte_names_its_line(self):
+        with pytest.raises(MalformedFastaError, match="header") as exc:
+            parse_bytes(b">a\nAC\n>b\xff\nGT\n")
+        assert exc.value.line_number == 3
+
+    def test_text_stream_keeps_non_ascii_header(self):
+        assert G.parse_fasta(io.StringIO(">b\u00e9 \nac\n")) == [G.FastaRecord("b\u00e9", "AC")]
+
+    @given(fasta_text(), st.integers(1, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_line_by_line_oracle(self, data, chunk):
+        # a tiny read size puts chunk seams inside lines and line ends
+        want = outcome(oracle_parse_fasta, data)
+        with mock.patch.object(G, "_CHUNK", chunk):
+            assert outcome(parse_bytes, data) == want
+            text = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline="")
+            assert outcome(G.parse_fasta, text) == want
+        assert outcome(parse_bytes, data) == want
+
+    @given(st.binary(max_size=200), st.integers(1, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_random_bytes_parse_or_raise_malformed(self, data, chunk):
+        with mock.patch.object(G, "_CHUNK", chunk):
+            try:
+                records = parse_bytes(data)
+            except MalformedFastaError as exc:
+                assert exc.line_number >= 1
+            else:
+                for r in records:
+                    assert r.header == r.header.strip() != ""
+                    assert r.sequence == "" or (r.sequence.isascii() and r.sequence.isalpha()
+                                                and r.sequence.isupper())
+
+    @given(st.text(max_size=120))
+    @settings(max_examples=200, deadline=None)
+    def test_random_text_parse_or_raise_malformed(self, text):
+        try:
+            G.parse_fasta(io.StringIO(text))
+        except MalformedFastaError:
+            pass
+
     @given(st.lists(
         st.tuples(st.text(alphabet="abcXYZ01_", min_size=1, max_size=8),
                   st.text(alphabet="ACGTN", min_size=1, max_size=200)),
@@ -70,6 +247,20 @@ class TestParseFasta:
 
 
 class TestExtractWindows:
+    @given(st.lists(st.tuples(st.text(alphabet="chr12", min_size=1, max_size=4),
+                              sequence_runs(8) | st.text(alphabet="ACGTNa-\u00e9", max_size=90)),
+                    max_size=4),
+           st.integers(1, 16), st.integers(0, 16), st.integers(1, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_window_by_window_oracle(self, entries, window_len, k, rows):
+        # k / window_len puts the fraction exactly on a window's count
+        records = [G.FastaRecord(h, s) for h, s in entries]
+        for frac in {min(k / window_len, 1.0), 0.0, 1.0, 0.1}:
+            want = oracle_extract_windows(records, window_len, frac)
+            with mock.patch.object(G, "_COUNT_BYTES", rows * window_len):
+                assert G.extract_windows(records, window_len, frac) == want
+            assert G.extract_windows(records, window_len, frac) == want
+
     def test_non_overlapping_with_remainder_dropped(self):
         rec = G.FastaRecord("r", "ACGTACGTAC")  # length 10
         ws = G.extract_windows([rec], 4)

@@ -1,3 +1,6 @@
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,38 @@ from hypothesis import strategies as st
 
 from genelm import tokenizer as T
 from genelm.errors import ShardFormatError
+
+
+# the int16 lookup-table encoder and per-window stack that the translate-table
+# encoder must reproduce exactly
+ORACLE_LUT = np.full(256, -1, dtype=np.int16)
+for _c in range(ord("A"), ord("Z") + 1):
+    ORACLE_LUT[_c] = ORACLE_LUT[ord(chr(_c).lower())] = T.BASE_IDS.get(chr(_c), T.UNK_ID)
+
+
+def oracle_encode(dna: str) -> np.ndarray:
+    ids = ORACLE_LUT[np.frombuffer(dna.encode("ascii"), dtype=np.uint8)]
+    if (ids < 0).any():
+        bad = dna[int(np.argmax(ids < 0))]
+        raise ValueError(f"cannot encode character {bad!r}: not an ASCII letter")
+    return ids.astype(np.uint8)
+
+
+def oracle_encode_windows(windows: list[str]) -> np.ndarray:
+    if not windows:
+        return np.zeros((0, 0), dtype=np.uint8)
+    return np.stack([oracle_encode(w) for w in windows])
+
+
+def outcome(fn, arg):
+    try:
+        ids = fn(arg)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return ids.dtype, ids.shape, ids.tobytes()
+
+
+ASCII = st.characters(min_codepoint=0, max_codepoint=127)
 
 
 class TestEncodeDecode:
@@ -23,6 +58,35 @@ class TestEncodeDecode:
             T.encode("AC-T")
         with pytest.raises(ValueError):
             T.encode("ac gt")
+
+    @given(st.text(alphabet=ASCII, max_size=300))
+    def test_encode_matches_lookup_table_oracle(self, s):
+        assert outcome(T.encode, s) == outcome(oracle_encode, s)
+
+    def test_non_ascii_character_named(self):
+        with pytest.raises(ValueError, match="'\u00e9'"):
+            T.encode("AC\u00e9T")
+
+    @given(st.integers(0, 12), st.integers(0, 9), st.integers(1, 40), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_encode_windows_matches_stack_oracle(self, width, n, batch, data):
+        windows = data.draw(st.lists(
+            st.text(alphabet="ACGTacgtNnRy", min_size=width, max_size=width),
+            min_size=n, max_size=n))
+        if windows and width and data.draw(st.booleans()):  # a bad character somewhere
+            i = data.draw(st.integers(0, n - 1))
+            j = data.draw(st.integers(0, width - 1))
+            bad = data.draw(st.sampled_from("-*. @[`{9"))
+            windows[i] = windows[i][:j] + bad + windows[i][j + 1:]
+        if windows and data.draw(st.booleans()):  # drop the equal-length guarantee
+            windows[-1] = windows[-1][:-1]
+        want = outcome(oracle_encode_windows, windows)
+        with mock.patch.object(T, "_ENCODE_BYTES", batch):
+            got = outcome(T.encode_windows, windows)
+        if len(set(map(len, windows))) > 1:  # np.stack raised its own message
+            assert got[0] is want[0] is ValueError
+        else:
+            assert got == want
 
     def test_decode(self):
         assert T.decode([2, 3, 4, 5]) == "ACGT"
@@ -56,6 +120,20 @@ class TestShards:
         T.write_shard(path, ids)
         back = T.read_shard(path)
         assert np.array_equal(back, ids)
+
+    def test_failed_replace_keeps_previous_shard(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.tokens"
+        T.write_shard(path, np.full((3, 8), 2, dtype=np.uint8))
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(T.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            T.write_shard(path, np.full((5, 8), 3, dtype=np.uint8))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["x.tokens"]
 
     def test_header_is_single_ascii_line(self, tmp_path):
         path = tmp_path / "x.tokens"
