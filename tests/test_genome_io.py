@@ -173,11 +173,6 @@ class TestParseFasta:
             data = end.join([b">a b", b"acgt", b"", b"nN", b">c", b"TT"]) + end
             assert parse_bytes(data) == want, end
 
-    def test_lone_cr_ends_a_line(self):
-        with pytest.raises(MalformedFastaError) as exc:
-            parse_bytes(b">a\rAC\rA!\n")
-        assert exc.value.line_number == 3
-
     @pytest.mark.parametrize("how", ["path", "binary", "text"])
     def test_non_ascii_byte_names_its_line(self, tmp_path, how):
         data = ">r1\nACGT\nACGT\xc3\xa9AC\n".encode("latin-1")
