@@ -24,6 +24,7 @@ from . import evaluator as E
 from . import genome_io as G
 from . import tokenizer as T
 from . import trainer as TR
+from .atomic import atomic_write
 from .errors import GenelmError, TrainingDivergedError
 from .model import ModelConfig
 
@@ -46,10 +47,11 @@ def _echo_config(args: argparse.Namespace) -> None:
         print(f"{key.replace('_', '-')}={value}")
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+def parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse once to find --config, turn its key=value lines into new
     defaults on the chosen subparser, then parse again so explicit flags
     win. A required flag may come from the file instead."""
+    parser = build_parser()
     subparsers = parser._subparsers._group_actions[0].choices
     required = [a for p in subparsers.values() for a in p._actions if a.required]
     for action in required:  # the first pass only looks for --config
@@ -64,9 +66,12 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
         return parser.parse_args(argv)
     sub = subparsers[args.command]
     overrides = {}
-    with open(path, encoding="ascii") as f:
+    # undecodable bytes become lone surrogates, which isascii() rejects below
+    with open(path, encoding="ascii", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
+            if not line.isascii():
+                raise GenelmError(f"{path}:{lineno}: non-ASCII byte in {line!r}")
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
@@ -146,7 +151,7 @@ def cmd_prepare(args) -> int:
         f"eval_windows={len(evalset)}",
         f"seed={args.seed}",
     ]
-    with open(os.path.join(args.out_dir, "stats.txt"), "w", encoding="ascii") as f:
+    with atomic_write(os.path.join(args.out_dir, "stats.txt")) as f:
         f.write("\n".join(lines) + "\n")
     for line in lines:
         print(line)
@@ -241,8 +246,11 @@ def cmd_embed(args) -> int:
     ds = D.load_labeled_dataset(args.dataset)
     X = D.embed_dataset(model, ds.sequences, pooling=args.pooling,
                         layer=args.layer)
-    np.save(args.out, X)
-    print(f"embeddings={X.shape[0]}x{X.shape[1]} pooling={args.pooling} out={args.out}")
+    # np.save's rule: a name without the .npy suffix gets it appended
+    out = args.out if args.out.endswith(".npy") else args.out + ".npy"
+    with atomic_write(out, "wb") as f:
+        np.save(f, X)
+    print(f"embeddings={X.shape[0]}x{X.shape[1]} pooling={args.pooling} out={out}")
     return 0
 
 
@@ -441,15 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _apply_config_file(parser, argv)
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"{PROG}: {exc}", file=sys.stderr)
-        return 2
-    _echo_config(args)
-    try:
+        args = parse_args(argv)
+        _echo_config(args)
         return args.func(args)
     except TrainingDivergedError as exc:
         print(f"{PROG}: training diverged: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import kernels as K
 from . import metrics as M
+from .atomic import atomic_write
 from .errors import DataConfigError
 from .kernels import Tensor
 from .model import INIT_STD, LanguageModel
@@ -60,45 +61,42 @@ class LabeledDataset:
         return len(self.sequences)
 
 
-def save_labeled_dataset(ds: LabeledDataset, path: str | os.PathLike) -> None:
-    """Tab-separated file: a header line declaring the task, then one
-    "sequence<TAB>target" row per item (multilabel targets as
-    comma-separated 0/1 flags)."""
-    with open(path, "w", encoding="ascii") as f:
-        f.write(f"task_kind={ds.task_kind}\tk={ds.n_classes}\n")
-        for seq, tgt in zip(ds.sequences, ds.targets):
-            if ds.task_kind == "multilabel":
-                f.write(f"{seq}\t{','.join(str(int(x)) for x in tgt)}\n")
-            else:
-                f.write(f"{seq}\t{int(tgt)}\n")
-
-
 def load_labeled_dataset(path: str | os.PathLike) -> LabeledDataset:
-    with open(path, encoding="ascii") as f:
+    """Read a labeled TSV file: a header line "task_kind=<kind>\tk=<classes>",
+    then one "sequence<TAB>target" row per item (multilabel targets as k
+    comma-separated 0/1 flags); blank lines are skipped. A malformed line
+    is a DataConfigError naming path:line."""
+    sequences: list[str] = []
+    targets: list = []
+    # undecodable bytes become lone surrogates, which isascii(), isalpha() and
+    # int() reject
+    with open(path, encoding="ascii", errors="surrogateescape") as f:
         header = f.readline().rstrip("\n")
         parts = dict(p.split("=", 1) for p in header.split("\t") if "=" in p)
-        try:
-            task_kind = parts["task_kind"]
-            k = int(parts["k"])
-        except (KeyError, ValueError) as exc:
-            raise DataConfigError(f"{path}: bad dataset header {header!r}") from exc
-        sequences: list[str] = []
-        targets: list = []
+        task_kind, k = parts.get("task_kind"), parts.get("k", "")
+        k = int(k) if k.isdigit() else 0
+        if (not header.isascii() or task_kind not in TASK_KINDS or k < 1
+                or (task_kind == "binary" and k != 2)):
+            raise DataConfigError(f"{path}:1: bad dataset header {header!r}")
+        multilabel = task_kind == "multilabel"
         for lineno, line in enumerate(f, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
+            seq, _, tgt = line.partition("\t")
             try:
-                seq, tgt = line.split("\t")
-            except ValueError as exc:
-                raise DataConfigError(
-                    f"{path}:{lineno}: expected sequence<TAB>target") from exc
+                target = [int(x) for x in tgt.split(",")] if multilabel else int(tgt)
+                valid = (len(target) == k and set(target) <= {0, 1} if multilabel
+                         else 0 <= target < k)
+            except ValueError:
+                valid = False
+            if not (valid and "\t" not in tgt and seq.isalpha()):
+                raise DataConfigError(f"{path}:{lineno}: expected letters<TAB>target "
+                                      f"of a {task_kind} task with k={k}")
             sequences.append(seq)
-            if task_kind == "multilabel":
-                targets.append([int(x) for x in tgt.split(",")])
-            else:
-                targets.append(int(tgt))
-    return LabeledDataset(sequences, np.asarray(targets, dtype=np.int64),
+            targets.append(target)
+    shape = (len(sequences), k) if multilabel else (len(sequences),)
+    return LabeledDataset(sequences, np.array(targets, dtype=np.int64).reshape(shape),
                           task_kind, k)
 
 
@@ -140,6 +138,17 @@ def embed_dataset(model: LanguageModel, sequences, pooling: str = "max",
 # linear probe on frozen embeddings
 # ---------------------------------------------------------------------------
 
+def _new_head(d: int, k: int, seed: int) -> tuple[Tensor, Tensor]:
+    """Trainable (d, k) weights and k biases of a fresh linear head."""
+    w = INIT_STD * np.random.default_rng(seed).standard_normal((d, k))
+    return (Tensor(w.astype(np.float32), requires_grad=True),
+            Tensor(np.zeros(k, dtype=np.float32), requires_grad=True))
+
+
+def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return K.add(K.matmul(x, w), b)
+
+
 def train_probe(train_embeddings, train_targets, test_embeddings, test_targets,
                 *, n_classes: int | None = None, steps: int = 300,
                 lr: float = 0.05, seed: int = 0) -> dict:
@@ -159,10 +168,7 @@ def train_probe(train_embeddings, train_targets, test_embeddings, test_targets,
     Xn = (X - mu) / sd
     Xtn = (Xt - mu) / sd
 
-    rng = np.random.default_rng(seed)
-    w = Tensor((INIT_STD * rng.standard_normal((X.shape[1], k))).astype(np.float32),
-               requires_grad=True)
-    b = Tensor(np.zeros(k, dtype=np.float32), requires_grad=True)
+    w, b = _new_head(X.shape[1], k, seed)
     params = {"w": w, "b": b}
     cfg = TrainConfig(batch_size=1, beta1=0.9, beta2=0.999, weight_decay=0.0,
                       max_grad_norm=math.inf, lr_peak=lr, lr_min=lr * 0.01,
@@ -170,10 +176,10 @@ def train_probe(train_embeddings, train_targets, test_embeddings, test_targets,
     state = AdamState(params)
     xn = Tensor(Xn)
     for i in range(steps):
-        optimizer_step(K.cross_entropy(K.add(K.matmul(xn, w), b), y),
-                       params, state, i + 1, cfg)
+        optimizer_step(K.cross_entropy(_linear(xn, w, b), y), params, state, i + 1, cfg)
 
-    preds = (Xtn @ w.data + b.data).argmax(axis=1)
+    with K.no_grad():
+        preds = _linear(Tensor(Xtn), w, b).data.argmax(axis=1)
     return {
         "f1_macro": M.f1(preds, yt, averaging="macro", n_classes=k),
         "accuracy": M.accuracy(preds, yt),
@@ -219,27 +225,21 @@ def _encode_padded(ds: LabeledDataset, ctx: int) -> tuple[np.ndarray, np.ndarray
     return mat, lens
 
 
-def _pool_weights(lens: np.ndarray, width: int, dtype=np.float32) -> np.ndarray:
-    """(n, width, 1) weights that average hidden states over real tokens."""
-    w = np.zeros((len(lens), width, 1), dtype=dtype)
-    for i, n in enumerate(lens):
-        w[i, :n, 0] = 1.0 / n
-    return w
+def classifier_logits(model: LanguageModel, ids: np.ndarray, lens: np.ndarray,
+                      head_w: Tensor, head_b: Tensor) -> Tensor:
+    """(n, k) logits of a linear head over the final hidden states averaged
+    over each right-padded row's first `lens` tokens."""
+    h = model.forward_hidden(ids)
+    lens = lens[:, None]
+    weights = ((np.arange(ids.shape[1]) < lens) / lens).astype(np.float32)[..., None]
+    pooled = K.sum_axis(K.mul(h, Tensor(weights)), axis=1)
+    return _linear(pooled, head_w, head_b)
 
 
-def _classifier_scores(model: LanguageModel, head_w: np.ndarray,
-                       head_b: np.ndarray, ids: np.ndarray, lens: np.ndarray,
-                       batch_size: int = 32) -> np.ndarray:
-    outs = []
-    for i in range(0, len(ids), batch_size):
-        h = model.hidden(ids[i:i + batch_size])
-        w = _pool_weights(lens[i:i + batch_size], ids.shape[1], h.dtype)
-        outs.append((h * w).sum(axis=1) @ head_w + head_b)
-    return np.concatenate(outs)
-
-
-def _task_metrics(task_kind: str, k: int, logits: np.ndarray,
-                  targets: np.ndarray) -> dict:
+def task_metrics(task_kind: str, k: int, logits: np.ndarray,
+                 targets: np.ndarray) -> dict:
+    """The task's metric suite from (n, k) logits, None where a metric does
+    not apply. Binary AUCs rank rows by the logit margin."""
     out: dict = {"accuracy": None, "precision": None, "recall": None,
                  "f1": None, "mcc": None, "auc_roc": None, "auc_pr": None,
                  "median_auc": None}
@@ -251,13 +251,12 @@ def _task_metrics(task_kind: str, k: int, logits: np.ndarray,
     out["accuracy"] = M.accuracy(preds, targets)
     out["mcc"] = M.mcc(preds, targets)
     if task_kind == "binary":
-        z = logits[:, 1] - logits[:, 0]
-        score = 1.0 / (1.0 + np.exp(-z))
+        margin = logits[:, 1] - logits[:, 0]
         out["precision"] = M.precision(preds, targets)
         out["recall"] = M.recall(preds, targets)
         out["f1"] = M.f1(preds, targets)
-        out["auc_roc"] = M.auc_roc(score, targets)
-        out["auc_pr"] = M.auc_pr(score, targets)
+        out["auc_roc"] = M.auc_roc(margin, targets)
+        out["auc_pr"] = M.auc_pr(margin, targets)
     else:
         out["f1"] = M.f1(preds, targets, averaging="macro", n_classes=k)
     return out
@@ -286,50 +285,45 @@ def finetune_classify(ckpt: Checkpoint, train_ds: LabeledDataset,
 
     k = train_ds.n_classes
     task = train_ds.task_kind
-    rng = np.random.default_rng(head_seed)
-    head_w = Tensor((INIT_STD * rng.standard_normal(
-        (model.config.hidden, k))).astype(np.float32), requires_grad=True)
-    head_b = Tensor(np.zeros(k, dtype=np.float32), requires_grad=True)
+    head_w, head_b = _new_head(model.config.hidden, k, head_seed)
 
+    trainable = {"classifier.w": head_w, "classifier.b": head_b}
     if mode == "head_only":
         for p in model.params.values():
             p.requires_grad = False
-        trainable = {"classifier.w": head_w, "classifier.b": head_b}
     else:
-        trainable = dict(model.named_params())
-        trainable["classifier.w"] = head_w
-        trainable["classifier.b"] = head_b
+        trainable = {**model.named_params(), **trainable}
 
     state = AdamState(trainable)
     schedule = BatchSchedule(len(train_ds), config.batch_size, config.seed)
-    width = train_ids.shape[1]
 
     for i in range(config.total_iters):
         idx = schedule.indices(i)
-        h = model.forward_hidden(train_ids[idx])
-        w = Tensor(_pool_weights(train_lens[idx], width))
-        pooled = K.sum_axis(K.mul(h, w), axis=1)
-        logits = K.add(K.matmul(pooled, head_w), head_b)
+        logits = classifier_logits(model, train_ids[idx], train_lens[idx], head_w, head_b)
         if task == "multilabel":
             loss = K.sigmoid_bce(logits, train_ds.targets[idx])
         else:
             loss = K.cross_entropy(logits, train_ds.targets[idx])
         optimizer_step(loss, trainable, state, i + 1, config)
 
-    scores = _classifier_scores(model, head_w.data, head_b.data,
-                                test_ids, test_lens)
-    record = _task_metrics(task, k, scores, test_ds.targets)
+    batch = 32  # test rows per graph-free forward
+    with K.no_grad():
+        scores = np.concatenate([
+            classifier_logits(model, test_ids[i:i + batch], test_lens[i:i + batch],
+                              head_w, head_b).data
+            for i in range(0, len(test_ids), batch)])
+    record = task_metrics(task, k, scores, test_ds.targets)
     record.update({"task": task, "mode": mode, "n_train": len(train_ds),
                    "n_test": len(test_ds), "steps": config.total_iters})
     return FinetuneResult(
         metrics=record,
-        backbone={name: p.data.copy() for name, p in model.named_params().items()},
-        head_w=head_w.data.copy(),
-        head_b=head_b.data.copy(),
+        backbone={name: p.data for name, p in model.named_params().items()},
+        head_w=head_w.data,
+        head_b=head_b.data,
     )
 
 
 def write_metrics(record: dict, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="ascii") as f:
+    with atomic_write(path) as f:
         json.dump(record, f, sort_keys=True, indent=2)
         f.write("\n")

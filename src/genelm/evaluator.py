@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import ContextOverflowError
 from .genome_io import extract_windows
 from .tokenizer import encode, next_token_targets
@@ -102,7 +103,7 @@ class PerplexityReport:
     rows: list[ReportRow] = field(default_factory=list)
 
     def write_csv(self, path: str | os.PathLike) -> None:
-        with open(path, "w", encoding="ascii") as f:
+        with atomic_write(path) as f:
             f.write(CSV_HEADER + "\n")
             for r in self.rows:
                 ppl = repr(r.ppl) if r.ppl is not None else ""
@@ -111,7 +112,7 @@ class PerplexityReport:
                         f"{r.n_sequences},{r.n_scored_tokens}\n")
 
     def write_jsonl(self, path: str | os.PathLike) -> None:
-        with open(path, "w", encoding="ascii") as f:
+        with atomic_write(path) as f:
             for r in self.rows:
                 f.write(json.dumps({
                     "model_id": r.model_id, "eval_length": r.eval_length,

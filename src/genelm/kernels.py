@@ -90,8 +90,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def bwd(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        for t in (a, b):
+            if t.requires_grad:
+                _accum(t, _unbroadcast(g, t.data.shape))
 
     return _result(out, (a, b), bwd)
 
@@ -100,8 +101,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def bwd(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        for t, other in ((a, b), (b, a)):
+            if t.requires_grad:
+                _accum(t, _unbroadcast(g * other.data, t.data.shape))
 
     return _result(out, (a, b), bwd)
 
@@ -144,8 +146,8 @@ def sum_all(a: Tensor) -> Tensor:
     return _result(out, (a,), bwd)
 
 
-def silu(a: Tensor) -> Tensor:
-    x = a.data
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid of x in x's dtype, without overflow for any input."""
     z = np.abs(x)
     np.negative(z, out=z)
     np.exp(z, out=z)
@@ -154,6 +156,12 @@ def silu(a: Tensor) -> Tensor:
     sig = np.maximum(z, x >= 0, dtype=x.dtype)
     z += 1.0
     sig /= z
+    return sig
+
+
+def silu(a: Tensor) -> Tensor:
+    x = a.data
+    sig = _sigmoid(x)
     out = x * sig
 
     def bwd(g):
@@ -403,9 +411,7 @@ def sigmoid_bce(logits: Tensor, targets: np.ndarray) -> Tensor:
 
     def bwd(g):
         if logits.requires_grad:
-            z = np.exp(-np.abs(x))
-            sig = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-            _accum(logits, (sig - t) * (float(g) / x.size))
+            _accum(logits, (_sigmoid(x) - t) * (float(g) / x.size))
 
     return _result(loss_val, (logits,), bwd)
 

@@ -9,12 +9,12 @@ PAD to the empty string.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import string
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import ShardFormatError
 
 PAD_ID = 0
@@ -94,53 +94,46 @@ def encode_windows(windows: list[str]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def write_shard(path: str | os.PathLike, ids: np.ndarray) -> None:
-    """Write a (n_windows, window_len) uint8 id matrix as a shard file.
-
-    The shard is written to a temporary file next to `path`, which then
-    replaces `path`, so a failed write leaves any previous shard intact."""
+    """Write a (n_windows, window_len) uint8 id matrix as a shard file,
+    atomically (see `atomic_write`)."""
     ids = np.ascontiguousarray(ids, dtype=np.uint8)
     if ids.ndim != 2:
         raise ValueError(f"shard ids must be 2-D, got shape {ids.shape}")
     header = (f"{SHARD_MAGIC} vocab={','.join(SYMBOLS)} "
               f"window_len={ids.shape[1]} n_windows={ids.shape[0]}\n")
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(header.encode("ascii"))
-            f.write(memoryview(ids))
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    with atomic_write(path, "wb") as f:
+        f.write(header.encode("ascii"))
+        f.write(memoryview(ids))
 
 
 def read_shard(path: str | os.PathLike) -> np.ndarray:
-    """Read a shard file back into a (n_windows, window_len) uint8 matrix."""
+    """Read a shard file back into a (n_windows, window_len) uint8 matrix,
+    checking the file's size against the header before allocating it."""
     with open(path, "rb") as f:
         header = f.readline().decode("ascii", errors="replace").rstrip("\n")
-        payload = f.read()
-    fields = header.split(" ")
-    if " ".join(fields[:2]) != SHARD_MAGIC:
-        raise ShardFormatError(f"{path}: bad magic {header[:40]!r}")
-    meta = dict(part.split("=", 1) for part in fields[2:] if "=" in part)
-    if meta.get("vocab") != ",".join(SYMBOLS):
-        raise ShardFormatError(f"{path}: vocabulary mismatch: {meta.get('vocab')!r}")
-    try:
-        window_len = int(meta["window_len"])
-        n_windows = int(meta["n_windows"])
-    except (KeyError, ValueError) as exc:
-        raise ShardFormatError(f"{path}: bad header fields: {header!r}") from exc
-    if window_len < 1 or n_windows < 0:
-        raise ShardFormatError(
-            f"{path}: header declares window_len={window_len} n_windows={n_windows}")
-    expected = window_len * n_windows
-    if len(payload) != expected:
-        raise ShardFormatError(
-            f"{path}: payload is {len(payload)} bytes, header declares {expected}")
-    ids = np.frombuffer(payload, dtype=np.uint8).reshape(n_windows, window_len)
+        fields = header.split(" ")
+        if " ".join(fields[:2]) != SHARD_MAGIC:
+            raise ShardFormatError(f"{path}: bad magic {header[:40]!r}")
+        meta = dict(part.split("=", 1) for part in fields[2:] if "=" in part)
+        if meta.get("vocab") != ",".join(SYMBOLS):
+            raise ShardFormatError(f"{path}: vocabulary mismatch: {meta.get('vocab')!r}")
+        try:
+            window_len = int(meta["window_len"])
+            n_windows = int(meta["n_windows"])
+        except (KeyError, ValueError) as exc:
+            raise ShardFormatError(f"{path}: bad header fields: {header!r}") from exc
+        if window_len < 1 or n_windows < 0:
+            raise ShardFormatError(
+                f"{path}: header declares window_len={window_len} n_windows={n_windows}")
+        expected = window_len * n_windows
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        if size != expected:
+            raise ShardFormatError(
+                f"{path}: payload is {size} bytes, header declares {expected}")
+        ids = np.empty((n_windows, window_len), dtype=np.uint8)
+        got = f.readinto(memoryview(ids.reshape(-1)))
+    if got != expected:  # the file shrank after the size check
+        raise ShardFormatError(f"{path}: payload is {got} bytes, header declares {expected}")
     if ids.size and ids.max() >= VOCAB_SIZE:
         raise ShardFormatError(f"{path}: token id {int(ids.max())} outside vocabulary")
-    return ids.copy()
+    return ids

@@ -8,7 +8,6 @@ uninterrupted run bit for bit.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
@@ -19,6 +18,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import kernels as K
+from .atomic import atomic_write
 from .errors import (CheckpointFormatError, DataConfigError, ShapeError,
                      TrainingDivergedError)
 from .kernels import Tensor
@@ -181,9 +181,8 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | os.PathLike) -> None:
-    """Write `ckpt` to `path` atomically: the bytes go to a temporary file in
-    the same directory, which then replaces `path`, so a failed write leaves
-    any previous checkpoint at `path` intact."""
+    """Write `ckpt` to `path` atomically (see `atomic_write`): a failed write
+    leaves any previous checkpoint at `path` intact."""
     names = list(ckpt.params)
     blobs = [np.ascontiguousarray(ckpt.params[n], dtype="<f4").tobytes() for n in names]
     if ckpt.moments is not None:
@@ -201,19 +200,10 @@ def save_checkpoint(ckpt: Checkpoint, path: str | os.PathLike) -> None:
         "tensors": [[n, list(ckpt.params[n].shape)] for n in names],
         "payload_crc32": zlib.crc32(payload),
     }
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(f"{CKPT_MAGIC}\n".encode("ascii"))
-            f.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
-            f.write(payload)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    with atomic_write(path, "wb") as f:
+        f.write(f"{CKPT_MAGIC}\n".encode("ascii"))
+        f.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
+        f.write(payload)
 
 
 def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
@@ -320,7 +310,7 @@ class BatchSchedule:
 
 def train_stage(model_config: ModelConfig, train_config: TrainConfig,
                 data: np.ndarray, *, start: Checkpoint | None = None,
-                data_seed: int = 0, stage_index: int = 0, init_seed: int = 0,
+                data_seed: int = 0, stage_index: int | None = None, init_seed: int = 0,
                 log_path: str | os.PathLike | None = None,
                 stop_at_step: int | None = None,
                 ) -> tuple[Checkpoint, list[dict]]:
@@ -330,7 +320,8 @@ def train_stage(model_config: ModelConfig, train_config: TrainConfig,
     the context length; each batch uses the leading context_len tokens.
     Pass `stop_at_step` to checkpoint mid-schedule and `start` to resume;
     the continuation is bit-identical to an uninterrupted run with the
-    same seeds.
+    same seeds. The result's stage is `stage_index`, by default `start`'s
+    stage on a resume and 0 on a fresh run.
     """
     ctx = model_config.max_seq_len
     if data.ndim != 2 or data.shape[0] == 0:
@@ -360,6 +351,8 @@ def train_stage(model_config: ModelConfig, train_config: TrainConfig,
         state = AdamState(model.named_params())
         step0 = 0
 
+    if stage_index is None:
+        stage_index = start.stage if start is not None else 0
     end_step = train_config.total_iters
     if stop_at_step is not None:
         end_step = min(stop_at_step, end_step)
@@ -447,4 +440,4 @@ def extend_context(ckpt: Checkpoint, new_context_len: int,
     prep = prepare_extension(ckpt, new_context_len, new_rope_base)
     prep = replace(prep, train_config=extension_config)
     return train_stage(prep.model_config, extension_config, data,
-                       start=prep, stage_index=prep.stage, log_path=log_path)
+                       start=prep, log_path=log_path)

@@ -4,18 +4,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genelm import cli
-from genelm import downstream as D
 from genelm import tokenizer as T
 from genelm import trainer as TR
-from genelm.errors import CheckpointFormatError
+from genelm.errors import CheckpointFormatError, GenelmError
 
 DATA = Path(__file__).parent / "data"
 
 
 def run(argv):
     return cli.main(argv)
+
+
+def write_dataset(path, rng, n=12):
+    rows = "".join(f"{''.join(rng.choice(list('ACGT'), size=48))}\t{y}\n"
+                   for y in rng.integers(0, 2, n))
+    path.write_text("task_kind=binary\tk=2\n" + rows)
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +43,69 @@ def prepared(tmp_path_factory):
               "--out-dir", str(run_dir)])
     assert rc == 0
     return root
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cfg")
+
+
+@st.composite
+def config_text(draw):
+    """Config-file-like bytes: known and unknown keys, list-valued keys,
+    good and bad values, comments, blank lines and stray bytes."""
+    keys = st.sampled_from(["hidden", "n-layers", "lr-peak", "init-from", "seed",
+                            "config", "help", "nope", "", "shards", "out-dir"])
+    values = st.text(alphabet="0123456789.-eax =#\t\u00e9", max_size=8)
+    lines = st.one_of(st.tuples(keys, values).map("=".join), values)
+    text = "\n".join(draw(st.lists(lines, max_size=5)))
+    return text.encode(draw(st.sampled_from(["ascii", "utf-8", "latin-1"])), "replace")
+
+
+# every file a subcommand writes -> the subcommand that writes it
+OUTPUTS = {"train.tokens": "prepare", "stats.txt": "prepare", "checkpoint.bin": "train",
+           "ppl.jsonl": "eval-ppl", "sweep.csv": "sweep", "sweep.jsonl": "sweep",
+           "X.npy": "embed", "probe.json": "probe", "metrics.json": "finetune",
+           "finetuned.bin": "finetune"}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUTS))
+def test_failed_replace_keeps_previous_output(prepared, tmp_path, rng, monkeypatch,
+                                              capsys, name):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).write_bytes(b"previous")
+    ckpt = str(prepared / "run" / "checkpoint.bin")
+    tsv = tmp_path / "d.tsv"
+    write_dataset(tsv, rng, 8)
+    data = ["--train-dataset", str(tsv), "--test-dataset", str(tsv)]
+    argv = {
+        "prepare": ["--synthetic", "length=2000", "--window-len", "100",
+                    "--out-dir", str(out)],
+        "train": ["--shards", str(prepared / "data" / "train.tokens"), "--hidden", "32",
+                  "--n-layers", "1", "--n-heads", "2", "--ffn-dim", "48",
+                  "--context-len", "64", "--total-iters", "1", "--warmup-iters", "0",
+                  "--out-dir", str(out)],
+        "eval-ppl": ["--checkpoint", ckpt, "--shards", str(prepared / "data" / "eval.tokens"),
+                     "--max-sequences", "2", "--out", str(out / name)],
+        "sweep": ["--checkpoints", ckpt, "--synthetic", "length=2000", "--lengths", "16",
+                  "--max-sequences", "2", "--out-dir", str(out)],
+        "embed": ["--checkpoint", ckpt, "--dataset", str(tsv), "--out", str(out / name)],
+        "probe": ["--checkpoint", ckpt, *data, "--out", str(out / name)],
+        "finetune": ["--checkpoint", ckpt, *data, "--epochs", "1", "--out-dir", str(out)],
+    }[OUTPUTS[name]]
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if os.path.basename(dst) == name:
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert run([OUTPUTS[name], *argv]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert (out / name).read_bytes() == b"previous"
+    assert not [p for p in os.listdir(out) if p.endswith(".tmp")]
 
 
 class TestHelpGolden:
@@ -258,6 +328,19 @@ class TestConfigFile:
         rows = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
         assert len(rows) == 1 + 2  # header + 2 checkpoints x 1 length
 
+    @given(st.one_of(st.binary(max_size=120), config_text()))
+    @settings(max_examples=200, deadline=None)
+    def test_random_config_parses_or_exits_2(self, config_dir, data):
+        path = config_dir / "fuzz.cfg"
+        path.write_bytes(data)
+        try:
+            cli.parse_args(["train", "--config", str(path), "--shards", "x.tokens",
+                            "--out-dir", "o"])
+        except SystemExit as exc:
+            assert exc.code == 2
+        except GenelmError:
+            pass
+
     def test_echo_is_reparseable(self, tmp_path, capsys):
         rc = run(["prepare", "--synthetic", "length=6400", "--window-len", "32",
                   "--out-dir", str(tmp_path / "o")])
@@ -300,21 +383,21 @@ class TestPipelines:
         assert ck.model_config.max_seq_len == 128
         assert ck.model_config.rope_base == pytest.approx(4e4)  # (128/64)^2 * 1e4
 
-    def make_dataset(self, path, rng, n=12):
-        seqs = ["".join(rng.choice(list("ACGT"), size=48)) for _ in range(n)]
-        ds = D.LabeledDataset(seqs, rng.integers(0, 2, n), "binary", 2)
-        D.save_labeled_dataset(ds, path)
-
     def test_probe_and_embed(self, prepared, tmp_path, rng, capsys):
         train_tsv, test_tsv = tmp_path / "tr.tsv", tmp_path / "te.tsv"
-        self.make_dataset(train_tsv, rng, 16)
-        self.make_dataset(test_tsv, rng, 8)
+        write_dataset(train_tsv, rng, 16)
+        write_dataset(test_tsv, rng, 8)
         ckpt = str(prepared / "run" / "checkpoint.bin")
         rc = run(["embed", "--checkpoint", ckpt, "--dataset", str(train_tsv),
                   "--out", str(tmp_path / "X.npy")])
         assert rc == 0
         X = np.load(tmp_path / "X.npy")
         assert X.shape == (16, 32)
+        rc = run(["embed", "--checkpoint", ckpt, "--dataset", str(train_tsv),
+                  "--out", str(tmp_path / "Y")])  # np.save's rule: .npy appended
+        assert rc == 0
+        assert f"out={tmp_path / 'Y.npy'}" in capsys.readouterr().out
+        assert np.array_equal(np.load(tmp_path / "Y.npy"), X)
         rc = run(["probe", "--checkpoint", ckpt, "--train-dataset", str(train_tsv),
                   "--test-dataset", str(test_tsv), "--out", str(tmp_path / "m.json")])
         assert rc == 0
@@ -350,8 +433,8 @@ class TestPipelines:
 
     def test_finetune_head_only_keeps_backbone(self, prepared, tmp_path, rng):
         train_tsv, test_tsv = tmp_path / "tr.tsv", tmp_path / "te.tsv"
-        self.make_dataset(train_tsv, rng, 16)
-        self.make_dataset(test_tsv, rng, 8)
+        write_dataset(train_tsv, rng, 16)
+        write_dataset(test_tsv, rng, 8)
         ckpt_path = prepared / "run" / "checkpoint.bin"
         out = tmp_path / "ft"
         rc = run(["finetune", "--checkpoint", str(ckpt_path),

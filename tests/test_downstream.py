@@ -1,8 +1,15 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genelm import downstream as D
+from genelm import kernels as K
 from genelm import trainer as TR
+from genelm.errors import DataConfigError
 from genelm.model import LanguageModel, ModelConfig
 from genelm.tokenizer import encode
 
@@ -37,6 +44,27 @@ class ConstantHiddenStub:
 
     def hidden(self, ids, layer=None):
         return np.tile(self.h, (len(ids), 1))
+
+
+@pytest.fixture(scope="module")
+def tsv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("tsv")
+
+
+@st.composite
+def tsv_text(draw):
+    """Labeled-TSV-like bytes: a header that is usually well formed, then
+    rows whose sequences, tabs, targets and line ends vary."""
+    kind = draw(st.sampled_from(["binary", "multiclass", "multilabel", "foo", ""]))
+    k = draw(st.sampled_from(["2", "3", "0", "-1", "x", ""]))
+    out = draw(st.sampled_from([f"task_kind={kind}\tk={k}", f"k={k}\ttask_kind={kind}",
+                                f"task_kind={kind}"]))
+    for _ in range(draw(st.integers(0, 5))):
+        seq = draw(st.text(alphabet="ACGTNacg -\u00e9", max_size=6))
+        target = draw(st.text(alphabet="0123,x -", max_size=6))
+        tab = draw(st.sampled_from(["\t", "\t\t", "", " "]))
+        out += draw(st.sampled_from(["\n", "\r\n", "\r", "\n\n"])) + seq + tab + target
+    return out.encode(draw(st.sampled_from(["ascii", "utf-8", "latin-1"])), "replace")
 
 
 class TestEmbedSequence:
@@ -124,35 +152,66 @@ class TestProbe:
 
 
 class TestLabeledDatasetIO:
-    def test_multiclass_round_trip(self, tmp_path, rng):
-        ds = D.LabeledDataset([random_dna(rng, 12) for _ in range(6)],
-                              rng.integers(0, 3, 6), "multiclass", 3)
+    def test_multiclass_round_trip(self, tmp_path):
         path = tmp_path / "d.tsv"
-        D.save_labeled_dataset(ds, path)
+        path.write_text("task_kind=multiclass\tk=3\nACGT\t2\nggcA\t0\n\nTTNA\t1\n")
         back = D.load_labeled_dataset(path)
-        assert back.sequences == ds.sequences
-        assert np.array_equal(back.targets, ds.targets)
+        assert back.sequences == ["ACGT", "ggcA", "TTNA"]
+        assert back.targets.tolist() == [2, 0, 1]
         assert back.task_kind == "multiclass" and back.n_classes == 3
 
-    def test_multilabel_round_trip(self, tmp_path, rng):
-        ds = D.LabeledDataset([random_dna(rng, 12) for _ in range(4)],
-                              rng.integers(0, 2, (4, 5)), "multilabel", 5)
+    def test_multilabel_round_trip(self, tmp_path):
         path = tmp_path / "m.tsv"
-        D.save_labeled_dataset(ds, path)
+        path.write_text("task_kind=multilabel\tk=3\r\nACGT\t0,1,1\r\nGGCC\t1,0,0\r\n")
         back = D.load_labeled_dataset(path)
-        assert np.array_equal(back.targets, ds.targets)
+        assert back.targets.tolist() == [[0, 1, 1], [1, 0, 0]]
+        path.write_text("task_kind=multilabel\tk=3\n")
+        assert D.load_labeled_dataset(path).targets.shape == (0, 3)
 
-    def test_header_declares_task(self, tmp_path, rng):
-        ds = D.LabeledDataset(["ACGT"], np.array([1]), "binary", 2)
+    def test_header_declares_task(self, tmp_path):
         path = tmp_path / "b.tsv"
-        D.save_labeled_dataset(ds, path)
-        assert path.read_text().splitlines()[0] == "task_kind=binary\tk=2"
+        path.write_text("task_kind=binary\tk=2\nACGT\t1\n")
+        back = D.load_labeled_dataset(path)
+        assert back.task_kind == "binary" and back.n_classes == 2
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("whatever\nACGT\t1\n")
         with pytest.raises(Exception):
             D.load_labeled_dataset(path)
+
+    @pytest.mark.parametrize("text, line", [
+        (b"task_kind=binary\tk=2\nACGT\t0\nACGT\tx\n", 3),
+        (b"task_kind=binary\tk=2\nACGT\t\n", 2),
+        (b"task_kind=binary\tk=2\nACGT\t2\n", 2),
+        (b"task_kind=multilabel\tk=3\nACGT\t0,1,1\nACGT\t0,1\n", 3),
+        (b"task_kind=multilabel\tk=2\nACGT\t0,2\n", 2),
+        (b"task_kind=foo\tk=2\nACGT\t0\n", 1),
+        (b"task_kind=binary\tk=3\nACGT\t0\n", 1),
+        (b"task_kind=binary\tk=2\tname=\xc3\xa9\nACGT\t0\n", 1),
+        (b"task_kind=binary\tk=2\nACGT\t0\nAC\xc3\xa9GT\t1\n", 3),
+        (b"task_kind=binary\tk=2\nAC GT\t1\n", 2),
+        (b"task_kind=binary\tk=2\nACGT\t1\t0\n", 2),
+        (b"task_kind=binary\tk=2\nACGT\t1\t\n", 2),
+        (b"task_kind=binary\tk=2\nACGT\t\xc3\xa9\n", 2),
+    ])
+    def test_malformed_line_named(self, tmp_path, text, line):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(text)
+        with pytest.raises(DataConfigError, match=re.escape(f"{path}:{line}:")):
+            D.load_labeled_dataset(path)
+
+    @given(st.one_of(st.binary(max_size=120), tsv_text()))
+    @settings(max_examples=300, deadline=None)
+    def test_random_tsv_loads_or_names_error(self, tsv_dir, data):
+        path = tsv_dir / "fuzz.tsv"
+        path.write_bytes(data)
+        try:
+            ds = D.load_labeled_dataset(path)
+        except DataConfigError as exc:
+            assert str(exc).startswith(f"{path}:")
+        else:
+            assert len(ds.targets) == len(ds)
 
     def test_target_validation(self):
         with pytest.raises(ValueError):
@@ -203,6 +262,43 @@ class TestFinetune:
         assert want == set(res.metrics)
         assert res.metrics["task"] == "binary"
         assert res.metrics["median_auc"] is None
+
+    def test_reported_metrics_are_the_trained_head_on_the_test_split(self, checkpoint,
+                                                                     rng):
+        train, _ = self.small_task(rng)
+        # 70 rows of mixed lengths: three scoring batches of padded rows
+        seqs = [random_dna(rng, int(n)) for n in rng.integers(5, 30, 70)]
+        test = D.LabeledDataset(seqs, np.arange(70) % 2, "binary", 2)
+        res = D.finetune_classify(checkpoint, train, test, mode="all_layers",
+                                  config=TR.finetune_config(6, batch_size=8))
+        model = LanguageModel(CFG, {n: K.Tensor(a) for n, a in res.backbone.items()})
+        lens = np.array([len(s) for s in seqs])
+        ids = np.zeros((70, lens.max()), dtype=np.uint8)
+        pool = np.zeros((70, lens.max(), 1), dtype=np.float32)
+        for i, s in enumerate(seqs):
+            ids[i, :len(s)] = encode(s)
+            pool[i, :len(s), 0] = 1.0 / len(s)
+        # oracle: numpy mean pooling and head over graph-free hidden states
+        want = np.concatenate([
+            (model.hidden(ids[i:i + 32]) * pool[i:i + 32]).sum(axis=1) @ res.head_w
+            + res.head_b for i in range(0, 70, 32)])
+        with K.no_grad():
+            got = np.concatenate([
+                D.classifier_logits(model, ids[i:i + 32], lens[i:i + 32],
+                                    K.Tensor(res.head_w), K.Tensor(res.head_b)).data
+                for i in range(0, 70, 32)])
+        assert np.array_equal(got, want)
+        expect = D.task_metrics("binary", 2, want, test.targets)
+        assert {name: res.metrics[name] for name in expect} == expect
+
+    def test_binary_auc_ranks_by_margin_without_overflow(self):
+        # sigmoid(40) and sigmoid(50) both round to 1.0, which would tie them
+        logits = np.array([[0, 40], [0, 50], [0, -800], [0, -1]], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = D.task_metrics("binary", 2, logits, np.array([0, 1, 0, 1]))
+        assert rec["auc_roc"] == 0.75
+        assert rec["auc_pr"] == pytest.approx(5 / 6)
 
     def test_empty_split_rejected(self, checkpoint):
         empty = D.LabeledDataset([], np.zeros((0,), dtype=int), "binary", 2)

@@ -146,6 +146,18 @@ class TestSigmoidBce:
         t = (rng.random((4, 3)) > 0.5).astype(float)
         check_grad(lambda tt: K.sigmoid_bce(tt["x"], t), {"x": x}, rng)
 
+    def test_gradient_matches_where_form_bitwise(self, rng):
+        # the two-branch sigmoid as a reference, at float32 extremes too
+        x = np.concatenate([30 * rng.standard_normal(10_000),
+                            [0.0, -0.0, np.inf, -np.inf, 1e30, -1e30]]).astype(np.float32)
+        t = (rng.random(x.shape) > 0.5).astype(np.float32)
+        xt = K.Tensor(x, requires_grad=True)
+        with np.errstate(invalid="ignore"):  # the loss itself is inf - inf at +-inf
+            K.backward(K.sigmoid_bce(xt, t))
+        z = np.exp(-np.abs(x))
+        sig = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+        assert np.array_equal(xt.grad, (sig - t) * (1.0 / x.size))
+
 
 class TestStructuralOps:
     def test_rope_gradient(self, rng):

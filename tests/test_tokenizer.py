@@ -1,4 +1,3 @@
-import os
 from unittest import mock
 
 import numpy as np
@@ -121,20 +120,6 @@ class TestShards:
         back = T.read_shard(path)
         assert np.array_equal(back, ids)
 
-    def test_failed_replace_keeps_previous_shard(self, tmp_path, monkeypatch):
-        path = tmp_path / "x.tokens"
-        T.write_shard(path, np.full((3, 8), 2, dtype=np.uint8))
-        before = path.read_bytes()
-
-        def failing_replace(src, dst):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(T.os, "replace", failing_replace)
-        with pytest.raises(OSError, match="disk full"):
-            T.write_shard(path, np.full((5, 8), 3, dtype=np.uint8))
-        assert path.read_bytes() == before
-        assert os.listdir(tmp_path) == ["x.tokens"]
-
     def test_header_is_single_ascii_line(self, tmp_path):
         path = tmp_path / "x.tokens"
         T.write_shard(path, np.zeros((2, 8), dtype=np.uint8))
@@ -156,6 +141,16 @@ class TestShards:
         data = path.read_bytes()
         path.write_bytes(data[:-3])
         with pytest.raises(ShardFormatError):
+            T.read_shard(path)
+
+    @pytest.mark.parametrize("n_windows, payload", [(4, 65), (10**15, 64)])
+    def test_payload_size_must_match_header(self, tmp_path, n_windows, payload):
+        # checked against the file size before the reader allocates anything
+        path = tmp_path / "x.tokens"
+        header = f"{T.SHARD_MAGIC} vocab={','.join(T.SYMBOLS)} window_len=16 " \
+                 f"n_windows={n_windows}\n"
+        path.write_bytes(header.encode() + bytes(payload))
+        with pytest.raises(ShardFormatError, match=f"payload is {payload} bytes"):
             T.read_shard(path)
 
     def test_bad_magic_rejected(self, tmp_path):

