@@ -8,11 +8,16 @@ forward working set is O(B*H*BLOCK*t) and it keeps O(B*H*t*d) for the
 backward pass. All arithmetic is 32-bit by default; building a graph from
 float64 arrays yields a float64 graph (used by tests that want a
 high-precision oracle).
+
+Inside `cores()`, OpenBLAS runs one thread and attention splits its heads
+over a thread pool instead, with bit-identical results; long sequences
+(`cores_for`) use it, short ones keep OpenBLAS's own threads.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,6 +37,99 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
+
+
+# ---------------------------------------------------------------------------
+# both cores for long sequences
+# ---------------------------------------------------------------------------
+
+# Sequence length from which `cores_for` enters `cores()`. Only attention is
+# split, so what pays is its share of the work, which grows with the length,
+# not the batch. On a 2-vCPU host single forwards of 1024 tokens and more ran
+# faster inside the scope, while single sequences of 64-512 tokens scored
+# slower there and batch-8 training steps of 512 tokens were no faster.
+CORES_MIN_LEN = 1024
+
+_SPLIT = 1     # slices per split: _CORES inside `cores()`, 1 outside it
+_CORES = None  # BLAS threads counted at first use of `cores()`; 1 means off
+_BLAS = None   # (get_num_threads, set_num_threads) of numpy's OpenBLAS
+_POOL = None   # _CORES - 1 workers; the calling thread takes one slice
+
+
+def _openblas():
+    """ctypes get/set of the thread count of the OpenBLAS that numpy
+    loaded, found through the process's own mappings; None when there is
+    none (another BLAS, or no /proc)."""
+    try:
+        with open("/proc/self/maps", encoding="ascii", errors="replace") as f:
+            paths = {line.split()[-1] for line in f if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
+
+
+@contextlib.contextmanager
+def cores():
+    """Run the block's attention on a pool of threads, one per BLAS thread
+    counted at first use, while OpenBLAS runs one thread; the count is
+    restored on exit. Does nothing when nested, when numpy's BLAS is not a
+    reachable OpenBLAS, or when it already runs one thread
+    (`OPENBLAS_NUM_THREADS=1` keeps the serial path)."""
+    global _SPLIT, _CORES, _BLAS, _POOL
+    if _CORES is None:
+        _BLAS = _openblas()
+        _CORES = _BLAS[0]() if _BLAS else 1
+        if _CORES > 1:
+            from concurrent.futures import ThreadPoolExecutor
+            _POOL = ThreadPoolExecutor(_CORES - 1, thread_name_prefix="genelm-core")
+    threads = _BLAS[0]() if _CORES > 1 else 1
+    if _SPLIT > 1 or threads < 2:  # nested, or BLAS already serial
+        yield
+        return
+    _BLAS[1](1)
+    _SPLIT = _CORES
+    try:
+        yield
+    finally:
+        _SPLIT = 1
+        _BLAS[1](threads)
+
+
+def cores_for(length: int):
+    """`cores()` for sequences of at least CORES_MIN_LEN tokens, else a
+    scope that does nothing."""
+    return cores() if length >= CORES_MIN_LEN else contextlib.nullcontext()
+
+
+def _over(n: int, fn: Callable[[int, int], None]) -> None:
+    """fn(lo, hi) over contiguous slices covering range(n): inside `cores()`
+    one slice per pool thread and one on the calling thread, else the whole
+    range at once."""
+    k = min(_SPLIT, n)
+    if k <= 1:
+        fn(0, n)
+        return
+    futures = [_POOL.submit(fn, n * i // k, n * (i + 1) // k) for i in range(1, k)]
+    try:
+        fn(0, n // k)
+    finally:
+        for f in futures:  # every worker finishes before anything unwinds
+            f.exception()
+    for f in futures:
+        f.result()
 
 
 class Tensor:
@@ -294,7 +392,8 @@ def _block_scores(q_blk: np.ndarray, k_t: np.ndarray, i0: int, i1: int) -> np.nd
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, head_scale: float) -> Tensor:
     """softmax(Q K^T * head_scale + causal mask) V over (B, H, t, d) inputs.
 
-    Computed in blocks of BLOCK query rows, all B*H heads at once: block
+    Computed in blocks of BLOCK query rows, all B*H heads at once (one
+    contiguous slice of them per pool thread inside `cores()`): block
     [i0, i1) scores only keys [0, i1), so fully masked tiles are skipped,
     and only the diagonal tile carries the -inf mask. Each row takes an
     exact two-pass softmax over its whole key range. Block boundaries
@@ -317,35 +416,43 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, head_scale: float) -> Tens
 
     out = np.empty_like(q2)
     lse = np.empty((n, t), dtype=q2.dtype)
-    for i0, i1 in blocks:
-        e = _block_scores(q2[:, i0:i1], k_t, i0, i1)
-        m = e.max(axis=-1, keepdims=True)
-        e -= m
-        np.exp(e, out=e)
-        denom = e.sum(axis=-1, keepdims=True)
-        o = out[:, i0:i1]
-        np.matmul(e, v2[:, :i1], out=o)
-        o /= denom
-        lse[:, i0:i1] = (m + np.log(denom))[..., 0]
+
+    def forward(h0, h1):
+        for i0, i1 in blocks:
+            e = _block_scores(q2[h0:h1, i0:i1], k_t[h0:h1], i0, i1)
+            m = e.max(axis=-1, keepdims=True)
+            e -= m
+            np.exp(e, out=e)
+            denom = e.sum(axis=-1, keepdims=True)
+            o = out[h0:h1, i0:i1]
+            np.matmul(e, v2[h0:h1, :i1], out=o)
+            o /= denom
+            lse[h0:h1, i0:i1] = (m + np.log(denom))[..., 0]
+
+    _over(n, forward)
 
     def bwd(g):
         g2 = np.ascontiguousarray(g.reshape(n, t, d))
-        delta = np.einsum("ntd,ntd->nt", g2, out)      # rowsum(dO * O)
-        v_t = v2.transpose(0, 2, 1)
         dq = np.empty_like(q2)
         dk = np.zeros_like(k2)
         dv = np.zeros_like(v2)
-        for i0, i1 in blocks:
-            g_blk = g2[:, i0:i1]
-            p = _block_scores(q2[:, i0:i1], k_t, i0, i1)
-            p -= lse[:, i0:i1, None]
-            np.exp(p, out=p)                                # P, recomputed
-            dv[:, :i1] += np.matmul(p.transpose(0, 2, 1), g_blk)
-            ds = np.matmul(g_blk, v_t[:, :, :i1])           # dP
-            ds -= delta[:, i0:i1, None]
-            ds *= p                                         # dS = P * (dP - D)
-            np.matmul(ds, k2[:, :i1], out=dq[:, i0:i1])
-            dk[:, :i1] += np.matmul(ds.transpose(0, 2, 1), q2[:, i0:i1])
+
+        def backward_heads(h0, h1):
+            delta = np.einsum("ntd,ntd->nt", g2[h0:h1], out[h0:h1])  # rowsum(dO * O)
+            qh, kh, v_th = q2[h0:h1], k2[h0:h1], v2[h0:h1].transpose(0, 2, 1)
+            for i0, i1 in blocks:
+                g_blk = g2[h0:h1, i0:i1]
+                p = _block_scores(qh[:, i0:i1], k_t[h0:h1], i0, i1)
+                p -= lse[h0:h1, i0:i1, None]
+                np.exp(p, out=p)                                # P, recomputed
+                dv[h0:h1, :i1] += np.matmul(p.transpose(0, 2, 1), g_blk)
+                ds = np.matmul(g_blk, v_th[:, :, :i1])          # dP
+                ds -= delta[:, i0:i1, None]
+                ds *= p                                         # dS = P * (dP - D)
+                np.matmul(ds, kh[:, :i1], out=dq[h0:h1, i0:i1])
+                dk[h0:h1, :i1] += np.matmul(ds.transpose(0, 2, 1), qh[:, i0:i1])
+
+        _over(n, backward_heads)
         dq *= q2.dtype.type(head_scale)
         _accum(q, dq.reshape(B, H, t, d))
         _accum(k, dk.reshape(B, H, t, d))

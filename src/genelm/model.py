@@ -8,6 +8,7 @@ All linear maps are bias-free. Inputs are token id arrays of shape (t,) or
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -31,15 +32,24 @@ class ModelConfig:
     tie_embeddings: bool = False
 
     def __post_init__(self):
-        if self.n_heads < 1 or self.hidden % self.n_heads != 0:
+        for name in ("vocab_size", "hidden", "n_layers", "n_heads", "ffn_dim", "max_seq_len"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        for name in ("rope_base", "norm_eps"):
+            value = getattr(self, name)
+            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                    or not math.isfinite(value) or value <= 0):
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+        if not isinstance(self.tie_embeddings, bool):
+            raise ValueError(f"tie_embeddings must be a boolean, got {self.tie_embeddings!r}")
+        if self.hidden % self.n_heads != 0:
             raise ValueError(f"hidden {self.hidden} not divisible by n_heads {self.n_heads}")
         if (self.hidden // self.n_heads) % 2 != 0:
             raise ValueError(f"head_dim {self.hidden // self.n_heads} must be even "
                              "(rotary coordinate pairs)")
         if self.max_seq_len < 2:
             raise ValueError(f"max_seq_len must be >= 2, got {self.max_seq_len}")
-        if self.rope_base <= 0:
-            raise ValueError(f"rope_base must be positive, got {self.rope_base}")
 
     @property
     def head_dim(self) -> int:
@@ -203,10 +213,13 @@ class LanguageModel:
     def param_count(self) -> int:
         return sum(p.data.size for p in self.named_params().values())
 
-    def _rope(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._angles is None:
+    def _rope(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rotary tables for at least t positions: as long as the longest
+        input so far, not max_seq_len, which a checkpoint header can set to
+        any size."""
+        if self._angles is None or len(self._angles[0]) < t:
             self._angles = rope_angles(self.config.head_dim, self.config.rope_base,
-                                       np.arange(self.config.max_seq_len))
+                                       np.arange(t))
         return self._angles
 
     def _check_tokens(self, tokens: np.ndarray) -> np.ndarray:
@@ -230,7 +243,7 @@ class LanguageModel:
         default, or the residual stream right after block `layer`."""
         cfg = self.config
         ids = self._check_tokens(tokens)
-        angles = self._rope()
+        angles = self._rope(ids.shape[1])
         x = K.embedding(self.params["token_embedding"], ids)
         for i, lp in enumerate(self.layers):
             x = attention_block(x, lp, angles, cfg.n_heads, cfg.norm_eps)
@@ -254,13 +267,15 @@ class LanguageModel:
         return logits
 
     def logits(self, tokens: np.ndarray) -> np.ndarray:
-        """Graph-free forward for evaluation."""
-        with K.no_grad():
+        """Graph-free forward for evaluation; long sequences use every core
+        (`K.cores_for`)."""
+        with K.no_grad(), K.cores_for(np.shape(tokens)[-1]):
             return self.forward(tokens).data
 
     def hidden(self, tokens: np.ndarray, layer: int | None = None) -> np.ndarray:
-        """Graph-free hidden states; squeezes the batch axis for 1-D input."""
+        """Graph-free hidden states; squeezes the batch axis for 1-D input.
+        Long sequences use every core (`K.cores_for`)."""
         squeeze = np.asarray(tokens).ndim == 1
-        with K.no_grad():
+        with K.no_grad(), K.cores_for(np.shape(tokens)[-1]):
             h = self.forward_hidden(tokens, layer).data
         return h[0] if squeeze else h

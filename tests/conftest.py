@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from genelm import kernels as K
 
@@ -70,3 +71,22 @@ def check_grad(build_loss, arrays: dict, rng, n_coords: int = 6,
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@st.composite
+def mutated(draw, valid: bytes) -> bytes:
+    """`valid` with one to four edits: a byte flipped, bytes inserted or
+    deleted, or the tail cut off."""
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(("flip", "insert", "delete", "cut")))
+        if edit == "flip" and at < len(data):
+            data[at] ^= draw(st.integers(1, 255))
+        elif edit == "insert":
+            data[at:at] = draw(st.binary(min_size=1, max_size=4))
+        elif edit == "delete":
+            del data[at:at + draw(st.integers(1, 4))]
+        elif edit == "cut":
+            del data[at:]
+    return bytes(data)

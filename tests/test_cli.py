@@ -241,6 +241,20 @@ class TestUsageErrors:
         assert rc == 2
         assert "tensor layers.0.w1 " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["x", float("nan")])
+    def test_bad_norm_eps_in_checkpoint_exits_2(self, prepared, tmp_path, capsys, value):
+        # "x" used to fail inside rmsnorm with exit 1, NaN to print ppl=nan
+        magic, header, payload = (prepared / "run" / "checkpoint.bin").read_bytes().split(
+            b"\n", 2)
+        header = json.loads(header)
+        header["model_config"]["norm_eps"] = value
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\n".join([magic, json.dumps(header).encode(), payload]))
+        rc = run(["eval-ppl", "--checkpoint", str(bad),
+                  "--shards", str(prepared / "data" / "eval.tokens")])
+        assert rc == 2
+        assert "norm_eps must be a finite positive number" in capsys.readouterr().err
+
     def test_max_sequences_below_1_exits_2(self, prepared, tmp_path, capsys):
         ckpt = str(prepared / "run" / "checkpoint.bin")
         for n in ("0", "-1"):

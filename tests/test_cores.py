@@ -1,0 +1,223 @@
+"""`kernels.cores()`: long inputs split over a thread pool while OpenBLAS
+runs one thread, with results bitwise equal to the serial path."""
+
+import contextlib
+import dataclasses
+import os
+import subprocess
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from genelm import kernels as K
+from genelm import trainer as TR
+from genelm.model import LanguageModel, ModelConfig
+from genelm.tokenizer import next_token_targets
+
+BLAS = K._openblas()
+BLAS_THREADS = BLAS[0]() if BLAS else 1
+needs_blas = pytest.mark.skipif(BLAS is None, reason="numpy's BLAS is not a reachable OpenBLAS")
+needs_split = pytest.mark.skipif(
+    BLAS_THREADS < 2, reason=f"OpenBLAS runs {BLAS_THREADS} thread(s): cores() keeps "
+                             "the serial path")
+
+TINY = ModelConfig(vocab_size=6, hidden=16, n_layers=2, n_heads=2, ffn_dim=24,
+                   max_seq_len=1024)
+T = 1024
+
+
+def outputs(model, ids, scope):
+    """Logits, hidden states, the loss and every parameter gradient."""
+    with scope:
+        logits = model.logits(ids)
+        hidden = model.hidden(ids, layer=0)
+        for p in model.params.values():
+            p.grad = None
+        batch = ids[None]
+        loss = K.cross_entropy(model.forward(batch), *next_token_targets(batch))
+        K.backward(loss)
+    grads = {n: p.grad.copy() for n, p in model.params.items()}
+    return logits, hidden, loss.data, grads
+
+
+@contextlib.contextmanager
+def switch_every(seconds):
+    """Let threads switch far more often than usual, to shake out races."""
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(seconds)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(saved)
+
+
+class TestScope:
+    @needs_split
+    def test_pins_blas_to_one_thread_and_restores_it(self):
+        with K.cores():
+            assert BLAS[0]() == 1
+            assert K._SPLIT == BLAS_THREADS
+        assert BLAS[0]() == BLAS_THREADS
+        assert K._SPLIT == 1
+
+    @needs_blas
+    def test_restores_blas_threads_when_the_body_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            with K.cores():
+                1 / 0
+        assert BLAS[0]() == BLAS_THREADS
+        assert K._SPLIT == 1
+
+    @needs_split
+    def test_nested_scope_does_nothing(self):
+        with K.cores():
+            with K.cores():
+                assert BLAS[0]() == 1
+            assert BLAS[0]() == 1
+            assert K._SPLIT == BLAS_THREADS
+        assert BLAS[0]() == BLAS_THREADS
+
+    @needs_split
+    def test_slices_run_on_pool_threads(self):
+        n = 4 * BLAS_THREADS  # more items than slices, so no slice is empty
+        seen = {}
+        barrier = threading.Barrier(BLAS_THREADS, timeout=10)
+
+        def record(lo, hi):
+            seen[(lo, hi)] = threading.get_ident()
+            barrier.wait()  # every slice runs at once
+
+        with K.cores():
+            K._over(n, record)
+        assert sorted(seen) == [(4 * i, 4 * (i + 1)) for i in range(BLAS_THREADS)]
+        assert len(set(seen.values())) == BLAS_THREADS
+        assert seen[(0, 4)] == threading.get_ident()
+
+    @needs_split
+    def test_worker_error_reaches_the_caller(self):
+        done = []
+
+        def fail_off_the_calling_thread(lo, hi):
+            if lo:
+                1 / 0
+            done.append(lo)
+
+        with K.cores(), pytest.raises(ZeroDivisionError):
+            K._over(4 * BLAS_THREADS, fail_off_the_calling_thread)
+        assert done == [0]
+
+    def test_serial_outside_the_scope(self):
+        threads = set()
+        K._over(10, lambda lo, hi: threads.add((lo, hi, threading.get_ident())))
+        assert threads == {(0, 10, threading.get_ident())}
+
+    def test_gate_is_the_sequence_length(self):
+        assert isinstance(K.cores_for(K.CORES_MIN_LEN - 1), contextlib.nullcontext)
+        assert not isinstance(K.cores_for(K.CORES_MIN_LEN), contextlib.nullcontext)
+
+    def test_train_stage_gates_on_the_context_not_the_batch(self, rng, monkeypatch):
+        cfg = dataclasses.replace(TINY, max_seq_len=K.CORES_MIN_LEN // 2)
+        data = rng.integers(2, 6, size=(4, cfg.max_seq_len)).astype(np.uint8)
+        entered = []
+        cores = K.cores
+
+        def counting_cores():
+            entered.append(1)
+            return cores()
+
+        monkeypatch.setattr(K, "cores", counting_cores)
+        TR.train_stage(cfg, TR.TrainConfig(batch_size=4, total_iters=1, warmup_iters=1),
+                       data, init_seed=4)
+        assert not entered
+
+    @needs_blas
+    def test_one_blas_thread_keeps_the_serial_path(self):
+        code = ("from genelm import kernels as K\n"
+                "with K.cores():\n"
+                "    print(K._SPLIT)\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "1"
+
+
+class TestBitIdentical:
+    @pytest.mark.parametrize("t", [64, 1100])
+    def test_attention_forward_and_backward(self, rng, t):
+        q, k, v, g = (rng.standard_normal((2, 3, t, 8)).astype(np.float32) for _ in range(4))
+
+        def run(scope):
+            tq, tk, tv = (K.Tensor(x.copy(), requires_grad=True) for x in (q, k, v))
+            with scope:
+                out = K.causal_attention(tq, tk, tv, 0.35)
+                out._bwd(g)
+            return out.data, tq.grad, tk.grad, tv.grad
+
+        serial = run(contextlib.nullcontext())
+        with switch_every(1e-6):
+            split = run(K.cores())
+        for a, b in zip(serial, split):
+            assert np.array_equal(a, b)
+
+    # one BLAS thread inside the scope gives the GEMMs of several outside it;
+    # the second shape is the LM head's at t = 2048, the third a float64 graph
+    @pytest.mark.parametrize("rows, k, n, dtype", [(4096, 128, 128, np.float32),
+                                                   (2048, 128, 6, np.float32),
+                                                   (2048, 64, 64, np.float64)])
+    def test_matmul_forward_and_backward(self, rng, rows, k, n, dtype):
+        a = rng.standard_normal((1, rows, k)).astype(dtype)
+        w = rng.standard_normal((k, n)).astype(dtype)
+        g = rng.standard_normal((1, rows, n)).astype(dtype)
+
+        def run(scope):
+            ta, tw = K.Tensor(a.copy(), requires_grad=True), K.Tensor(w.copy(), requires_grad=True)
+            with scope:
+                out = K.matmul(ta, tw)
+                out._bwd(g)
+            return out.data, ta.grad, tw.grad
+
+        for x, y in zip(run(contextlib.nullcontext()), run(K.cores())):
+            assert np.array_equal(x, y)
+
+    def test_model_outputs_and_gradients(self, rng, monkeypatch):
+        model = LanguageModel.init(TINY, seed=2)
+        ids = rng.integers(0, 6, size=T)
+        monkeypatch.setattr(K, "CORES_MIN_LEN", 10**9)  # the gate out of reach
+        serial = outputs(model, ids, contextlib.nullcontext())
+        split = outputs(model, ids, K.cores())
+        for a, b in zip(serial[:3], split[:3]):
+            assert np.array_equal(a, b)
+        for name, grad in serial[3].items():
+            assert np.array_equal(grad, split[3][name]), name
+
+    def test_prefix_logits_stable_under_suffix_edit(self, rng):
+        model = LanguageModel.init(TINY, seed=3)
+        ids = rng.integers(2, 6, size=T)
+        edited = ids.copy()
+        edited[700:] = rng.integers(2, 6, size=T - 700)
+        with K.cores():
+            a, b = model.logits(ids), model.logits(edited)
+        assert np.array_equal(a[:700], b[:700])
+
+    def test_train_stage_with_and_without_the_scope(self, rng, monkeypatch):
+        data = rng.integers(2, 6, size=(6, T)).astype(np.uint8)
+        tcfg = TR.TrainConfig(batch_size=2, total_iters=3, warmup_iters=1,
+                              lr_peak=1e-3, lr_min=1e-4)
+        entered = []
+        cores = K.cores
+
+        def counting_cores():
+            entered.append(1)
+            return cores()
+
+        monkeypatch.setattr(K, "cores", counting_cores)
+        ckpt, rows = TR.train_stage(TINY, tcfg, data, init_seed=4)
+        assert entered
+        monkeypatch.setattr(K, "CORES_MIN_LEN", 10**9)
+        ckpt_serial, rows_serial = TR.train_stage(TINY, tcfg, data, init_seed=4)
+        assert len(entered) == 1
+        assert [r["loss"] for r in rows] == [r["loss"] for r in rows_serial]
+        for n in ckpt.params:
+            assert np.array_equal(ckpt.params[n], ckpt_serial.params[n]), n

@@ -32,6 +32,29 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(max_seq_len=1)
 
+    @pytest.mark.parametrize("field", ["norm_eps", "rope_base"])
+    @pytest.mark.parametrize("value", ["x", math.nan, math.inf, -math.inf, 0.0, -1e-5,
+                                       True, None])
+    def test_scales_must_be_finite_positive_reals(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a finite positive number"):
+            ModelConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["vocab_size", "hidden", "n_layers", "n_heads",
+                                       "ffn_dim", "max_seq_len"])
+    @pytest.mark.parametrize("value", [True, 64.0, "64", 0, -4])
+    def test_sizes_must_be_positive_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
+            ModelConfig(**{field: value})
+
+    def test_accepts_numpy_scalars_and_integer_base(self):
+        cfg = ModelConfig(hidden=np.int64(16), n_heads=2, rope_base=10000,
+                          norm_eps=np.float32(1e-5))
+        assert cfg.head_dim == 8
+
+    def test_tie_embeddings_must_be_boolean(self):
+        with pytest.raises(ValueError, match="tie_embeddings"):
+            ModelConfig(tie_embeddings="yes")
+
 
 class TestRopeAngles:
     def test_position_zero_is_identity(self):
@@ -170,6 +193,14 @@ class TestBlocks:
 
 
 class TestForward:
+    def test_rotary_tables_follow_the_input_not_the_context(self, rng):
+        # a checkpoint header may declare any context length; scoring two
+        # tokens must not build tables for all of it
+        huge = LanguageModel.init(ModelConfig(**{**TINY.to_dict(), "max_seq_len": 2**40}))
+        tokens = rng.integers(0, 6, size=9)
+        assert np.array_equal(huge.logits(tokens), tiny_model().logits(tokens))
+        assert len(huge._angles[0]) == 9
+
     def test_prefix_consistency(self, rng):
         model = tiny_model()
         tokens = rng.integers(0, 6, size=20)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mutated
 from genelm import tokenizer as T
 from genelm.errors import ShardFormatError
 
@@ -112,7 +113,37 @@ class TestEncodeDecode:
             assert ids.min() >= 0
 
 
+def shard_bytes(window_len: bytes, n_windows: bytes, payload: bytes) -> bytes:
+    return (f"{T.SHARD_MAGIC} vocab={','.join(T.SYMBOLS)} ".encode()
+            + b"window_len=" + window_len + b" n_windows=" + n_windows + b"\n" + payload)
+
+
+VALID_SHARD = shard_bytes(b"4", b"3", bytes([2, 3, 4, 5, 0, 1, 2, 3, 5, 5, 4, 4]))
+header_value = st.one_of(st.integers(-3, 10**20).map(lambda i: str(i).encode()),
+                         st.binary(max_size=6))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("shard-fuzz")
+
+
 class TestShards:
+    @given(st.one_of(st.binary(max_size=120), mutated(VALID_SHARD),
+                     st.builds(shard_bytes, header_value, header_value,
+                               st.binary(max_size=24))))
+    @settings(max_examples=200, deadline=None)
+    def test_random_bytes_read_or_raise_named_error(self, fuzz_dir, data):
+        path = fuzz_dir / "fuzz.tokens"
+        path.write_bytes(data)
+        try:
+            ids = T.read_shard(path)
+        except ShardFormatError as exc:
+            assert str(exc).startswith(f"{path}:")
+        else:
+            assert ids.dtype == np.uint8 and ids.ndim == 2
+            assert ids.size == 0 or ids.max() < T.VOCAB_SIZE
+
     def test_round_trip(self, tmp_path, rng):
         ids = rng.integers(0, 6, size=(17, 64)).astype(np.uint8)
         path = tmp_path / "x.tokens"

@@ -1,19 +1,29 @@
 import dataclasses
+import functools
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mutated
+from genelm import evaluator as E
 from genelm import kernels as K
 from genelm import tokenizer as T
 from genelm import trainer as TR
 from genelm import genome_io as G
-from genelm.errors import (CheckpointFormatError, DataConfigError,
+from genelm.errors import (CheckpointFormatError, DataConfigError, GenelmError,
                            TrainingDivergedError)
 from genelm.model import LanguageModel, ModelConfig
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("ckpt-fuzz")
+
 
 SMALL = ModelConfig(vocab_size=6, hidden=16, n_layers=2, n_heads=2,
                     ffn_dim=24, max_seq_len=32)
@@ -178,6 +188,58 @@ class TestOptimizerStep:
             assert np.array_equal(state.m[n], ref_state.m[n])
 
 
+@functools.cache
+def fuzz_checkpoint(has_moments: bool) -> bytes:
+    """A valid checkpoint of a model small enough that edits often land in
+    its header."""
+    cfg = ModelConfig(vocab_size=6, hidden=4, n_layers=1, n_heads=2, ffn_dim=4,
+                      max_seq_len=4)
+    params = {n: p.data for n, p in LanguageModel.init(cfg, seed=3).named_params().items()}
+    moments = (params, params) if has_moments else None
+    ckpt = TR.Checkpoint(cfg, TR.TrainConfig(), params, moments, step=2, stage=1,
+                         data_seed=5)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "valid.ckpt")
+        TR.save_checkpoint(ckpt, path)
+        with open(path, "rb") as f:
+            return f.read()
+
+
+json_value = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+def json_paths(obj, prefix=()):
+    """Every key path into a parsed JSON value, the root excluded, and
+    within the tensor manifest only its entries, not their shapes' items."""
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        if prefix != ("tensors",):
+            yield from json_paths(value, prefix + (key,))
+
+
+@st.composite
+def header_edited(draw, valid: bytes) -> bytes:
+    """`valid` with one header value replaced by random JSON, or deleted;
+    the payload and its checksum are left as they were."""
+    magic, header, payload = valid.split(b"\n", 2)
+    header = json.loads(header)
+    *parents, key = draw(st.sampled_from(list(json_paths(header))))
+    owner = header
+    for p in parents:
+        owner = owner[p]
+    if isinstance(owner, dict) and draw(st.booleans()):
+        del owner[key]
+    else:
+        owner[key] = draw(json_value)
+    return b"\n".join([magic, json.dumps(header).encode(), payload])
+
+
 class TestCheckpoint:
     def make(self, rng, step=17):
         model = LanguageModel.init(SMALL, seed=1)
@@ -230,7 +292,8 @@ class TestCheckpoint:
         ("model_config", None), ("model_config", {"hidden": "wide"}),
         ("model_config", {"n_heads": 0}),
         ("train_config", {"batch_size": 0}), ("step", None), ("step", "17"),
-        ("payload_crc32", None)])
+        ("payload_crc32", None), ("model_config", {"norm_eps": "x"}),
+        ("model_config", {"norm_eps": math.nan})])
     def test_malformed_header_rejected(self, tmp_path, rng, key, value):
         path = tmp_path / "h.bin"
         TR.save_checkpoint(self.make(rng), path)
@@ -256,6 +319,29 @@ class TestCheckpoint:
             path.write_bytes(b"\n".join([magic, json.dumps(bad).encode(), payload]))
             with pytest.raises(CheckpointFormatError, match=f"tensor {tensor} "):
                 TR.load_checkpoint(path)
+
+    def test_deeply_nested_header_rejected(self, tmp_path):
+        path = tmp_path / "n.bin"
+        path.write_bytes(f"{TR.CKPT_MAGIC}\n".encode() + b"[" * 100_000 + b"\n")
+        with pytest.raises(CheckpointFormatError, match="unreadable header"):
+            TR.load_checkpoint(path)
+
+    @given(st.one_of(st.binary(max_size=200),
+                     st.booleans().map(fuzz_checkpoint).flatmap(mutated),
+                     st.booleans().map(fuzz_checkpoint).flatmap(header_edited)))
+    @settings(max_examples=200, deadline=None)
+    def test_random_bytes_load_or_raise_named_error(self, fuzz_dir, data):
+        """Every file loads or raises a named error, and one that loads
+        builds a model that scores a 2-token sequence."""
+        path = fuzz_dir / "fuzz.ckpt"
+        path.write_bytes(data)
+        try:
+            ckpt = TR.load_checkpoint(path)
+        except GenelmError as exc:
+            assert str(exc).startswith(f"{path}:")
+            return
+        nll, _, mask = E.score(ckpt.build_model(), np.array([2, 3]))
+        assert nll.shape == mask.shape == (2,)
 
 
 class TestTrainStage:
