@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -205,19 +204,12 @@ def cmd_eval_ppl(args) -> int:
     ckpt = TR.load_checkpoint(args.checkpoint)
     model = ckpt.build_model()
     data = T.read_shard(args.shards)
-    seqs = list(data[:args.max_sequences])
-    nll_sum, n_scored, correct = E.corpus_stats(model, seqs)
-    mean_nll = nll_sum / n_scored
-    ppl = math.exp(mean_nll)
-    acc = correct / n_scored
-    print(f"ppl={ppl:.6f} mean_nll={mean_nll:.6f} recon_acc={acc:.6f} "
-          f"n_sequences={len(seqs)}")
+    row = E.report_row(os.path.basename(args.checkpoint), data.shape[1], model,
+                       data[:args.max_sequences])
+    print(f"ppl={row.ppl:.6f} mean_nll={row.mean_nll:.6f} recon_acc={row.recon_acc:.6f} "
+          f"n_sequences={row.n_sequences}")
     if args.out:
-        report = E.PerplexityReport([E.ReportRow(
-            model_id=os.path.basename(args.checkpoint), eval_length=data.shape[1],
-            ppl=ppl, recon_acc=acc, n_sequences=len(seqs),
-            n_scored_tokens=n_scored, mean_nll=mean_nll)])
-        report.write_jsonl(args.out)
+        E.PerplexityReport([row]).write_jsonl(args.out)
     return 0
 
 
@@ -281,18 +273,12 @@ def cmd_finetune(args) -> int:
     cfg = TR.finetune_config(args.epochs * steps_per_epoch,
                              batch_size=args.batch_size, lr=args.lr,
                              schedule=args.schedule, seed=args.seed)
-    result = D.finetune_classify(ckpt, train_ds, test_ds, mode=args.mode,
-                                 config=cfg, head_seed=args.seed)
+    metrics, finetuned = D.finetune_classify(ckpt, train_ds, test_ds, mode=args.mode,
+                                             config=cfg, head_seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
-    D.write_metrics(result.metrics, os.path.join(args.out_dir, "metrics.json"))
-    out_ckpt = TR.Checkpoint(
-        model_config=ckpt.model_config, train_config=cfg,
-        params={**result.backbone, "classifier.w": result.head_w,
-                "classifier.b": result.head_b},
-        moments=None, step=cfg.total_iters, stage=ckpt.stage,
-        data_seed=ckpt.data_seed)
-    TR.save_checkpoint(out_ckpt, os.path.join(args.out_dir, "finetuned.bin"))
-    print(json.dumps(result.metrics, sort_keys=True))
+    D.write_metrics(metrics, os.path.join(args.out_dir, "metrics.json"))
+    TR.save_checkpoint(finetuned, os.path.join(args.out_dir, "finetuned.bin"))
+    print(json.dumps(metrics, sort_keys=True))
     return 0
 
 
@@ -314,25 +300,24 @@ def _add_input(p: argparse.ArgumentParser) -> None:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hidden", type=int, default=128, help="model width")
-    p.add_argument("--n-layers", type=int, default=4, help="decoder blocks")
-    p.add_argument("--n-heads", type=int, default=4, help="attention heads")
-    p.add_argument("--ffn-dim", type=int, default=352, help="feed-forward width")
-    p.add_argument("--context-len", type=int, default=512, help="training context")
-    p.add_argument("--rope-base", type=float, default=10000.0,
+    d = ModelConfig()
+    p.add_argument("--hidden", type=int, default=d.hidden, help="model width")
+    p.add_argument("--n-layers", type=int, default=d.n_layers, help="decoder blocks")
+    p.add_argument("--n-heads", type=int, default=d.n_heads, help="attention heads")
+    p.add_argument("--ffn-dim", type=int, default=d.ffn_dim, help="feed-forward width")
+    p.add_argument("--context-len", type=int, default=d.max_seq_len, help="training context")
+    p.add_argument("--rope-base", type=float, default=d.rope_base,
                    help="rotary base frequency")
 
 
-def _add_train_flags(p: argparse.ArgumentParser, batch_size: int = 8,
-                     lr_peak: float = 4.8e-4, lr_min: float = 4.8e-5,
-                     warmup_iters: int = 50, total_iters: int = 1000) -> None:
-    p.add_argument("--batch-size", type=int, default=batch_size, help="sequences per step")
-    p.add_argument("--lr-peak", type=float, default=lr_peak, help="post-warmup rate")
-    p.add_argument("--lr-min", type=float, default=lr_min, help="end-of-decay rate")
-    p.add_argument("--warmup-iters", type=int, default=warmup_iters,
+def _add_train_flags(p: argparse.ArgumentParser, d: TR.TrainConfig) -> None:
+    p.add_argument("--batch-size", type=int, default=d.batch_size, help="sequences per step")
+    p.add_argument("--lr-peak", type=float, default=d.lr_peak, help="post-warmup rate")
+    p.add_argument("--lr-min", type=float, default=d.lr_min, help="end-of-decay rate")
+    p.add_argument("--warmup-iters", type=int, default=d.warmup_iters,
                    help="linear warmup steps")
-    p.add_argument("--total-iters", type=int, default=total_iters, help="total steps")
-    p.add_argument("--weight-decay", type=float, default=0.1,
+    p.add_argument("--total-iters", type=int, default=d.total_iters, help="total steps")
+    p.add_argument("--weight-decay", type=float, default=d.weight_decay,
                    help="decoupled weight decay")
 
 
@@ -364,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", required=True, help="train token shard")
     p.add_argument("--init-from", default=None, help="checkpoint to resume")
     _add_model_flags(p)
-    _add_train_flags(p)
+    _add_train_flags(p, TR.TrainConfig())
     p.add_argument("--out-dir", required=True, help="output directory")
     p.set_defaults(func=cmd_train)
 
@@ -379,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--new-rope-base", type=float, default=None,
                    help="rotary base for the stage (default: scale the "
                         "previous base by the squared length ratio)")
-    _add_train_flags(p, batch_size=4, lr_peak=1e-4, lr_min=4e-5, warmup_iters=20,
-                     total_iters=200)
+    _add_train_flags(p, TR.TrainConfig(batch_size=4, lr_peak=1e-4, lr_min=4e-5,
+                                       warmup_iters=20, total_iters=200))
     p.add_argument("--out-dir", required=True, help="output directory")
     p.set_defaults(func=cmd_extend)
 
@@ -437,10 +422,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-dataset", required=True, help="labeled TSV, test split")
     p.add_argument("--mode", choices=("all_layers", "head_only"),
                    default="all_layers", help="which parameters train")
+    d = TR.finetune_config(1)
     p.add_argument("--epochs", type=int, default=2, help="passes over the train split")
-    p.add_argument("--batch-size", type=int, default=8, help="sequences per step")
-    p.add_argument("--lr", type=float, default=1e-4, help="peak learning rate")
-    p.add_argument("--schedule", choices=("linear", "cosine"), default="linear",
+    p.add_argument("--batch-size", type=int, default=d.batch_size, help="sequences per step")
+    p.add_argument("--lr", type=float, default=d.lr_peak, help="peak learning rate")
+    p.add_argument("--schedule", choices=("linear", "cosine"), default=d.schedule,
                    help="decay shape after warmup")
     p.add_argument("--out-dir", required=True, help="output directory")
     p.set_defaults(func=cmd_finetune)

@@ -149,15 +149,23 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return K.add(K.matmul(x, w), b)
 
 
+PROBE_STEPS = 300
+PROBE_LR = 0.05
+
+
 def train_probe(train_embeddings, train_targets, test_embeddings, test_targets,
-                *, n_classes: int | None = None, steps: int = 300,
-                lr: float = 0.05, seed: int = 0) -> dict:
-    """Multinomial linear probe trained by full-batch gradient descent on
-    frozen embeddings; reports macro F1 (and accuracy) on the test split."""
+                *, n_classes: int | None = None, seed: int = 0) -> dict:
+    """Multinomial linear probe trained by PROBE_STEPS full-batch Adam steps
+    at PROBE_LR on frozen embeddings; reports macro F1 (and accuracy) on the
+    test split. It takes one class per row: multilabel tasks are for
+    `finetune_classify`."""
     X = np.asarray(train_embeddings, dtype=np.float32)
     y = np.asarray(train_targets, dtype=np.int64)
     Xt = np.asarray(test_embeddings, dtype=np.float32)
     yt = np.asarray(test_targets, dtype=np.int64)
+    if y.ndim != 1 or yt.ndim != 1:
+        raise DataConfigError(
+            "the probe takes one class per row; finetune handles multilabel tasks")
     classes = np.unique(y)
     if len(classes) < 2:
         raise ValueError("degenerate task: training targets contain a single class")
@@ -171,11 +179,11 @@ def train_probe(train_embeddings, train_targets, test_embeddings, test_targets,
     w, b = _new_head(X.shape[1], k, seed)
     params = {"w": w, "b": b}
     cfg = TrainConfig(batch_size=1, beta1=0.9, beta2=0.999, weight_decay=0.0,
-                      max_grad_norm=math.inf, lr_peak=lr, lr_min=lr * 0.01,
-                      warmup_iters=0, total_iters=steps, seed=seed)
+                      max_grad_norm=math.inf, lr_peak=PROBE_LR, lr_min=PROBE_LR * 0.01,
+                      warmup_iters=0, total_iters=PROBE_STEPS, seed=seed)
     state = AdamState(params)
     xn = Tensor(Xn)
-    for i in range(steps):
+    for i in range(PROBE_STEPS):
         optimizer_step(K.cross_entropy(_linear(xn, w, b), y), params, state, i + 1, cfg)
 
     with K.no_grad():
@@ -185,21 +193,13 @@ def train_probe(train_embeddings, train_targets, test_embeddings, test_targets,
         "accuracy": M.accuracy(preds, yt),
         "n_train": len(y),
         "n_test": len(yt),
-        "steps": steps,
+        "steps": PROBE_STEPS,
     }
 
 
 # ---------------------------------------------------------------------------
 # finetuning
 # ---------------------------------------------------------------------------
-
-@dataclass
-class FinetuneResult:
-    metrics: dict
-    backbone: dict[str, np.ndarray]
-    head_w: np.ndarray
-    head_b: np.ndarray
-
 
 def _encode_padded(ds: LabeledDataset, ctx: int) -> tuple[np.ndarray, np.ndarray]:
     """Encode sequences into one right-padded id matrix.
@@ -264,12 +264,17 @@ def task_metrics(task_kind: str, k: int, logits: np.ndarray,
 
 def finetune_classify(ckpt: Checkpoint, train_ds: LabeledDataset,
                       test_ds: LabeledDataset, mode: str = "all_layers", *,
-                      config: TrainConfig, head_seed: int = 0) -> FinetuneResult:
+                      config: TrainConfig, head_seed: int = 0,
+                      ) -> tuple[dict, Checkpoint]:
     """Attach a fresh linear head over the mean-pooled final hidden state
     and train it (head_only) or the whole network (all_layers).
 
-    In head_only mode every backbone parameter is frozen: gradients are
-    exactly zero and the weights come back bit-identical.
+    Returns the test-split metrics and the finetuned checkpoint: the
+    backbone's parameters followed by the head's `classifier.w` (hidden, k)
+    and `classifier.b` (k,), with `config` as its train config and its step
+    at `config.total_iters`. In head_only mode every backbone parameter is
+    frozen: gradients are exactly zero and the weights come back
+    bit-identical.
     """
     if mode not in ("all_layers", "head_only"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -287,12 +292,13 @@ def finetune_classify(ckpt: Checkpoint, train_ds: LabeledDataset,
     task = train_ds.task_kind
     head_w, head_b = _new_head(model.config.hidden, k, head_seed)
 
-    trainable = {"classifier.w": head_w, "classifier.b": head_b}
+    head = {"classifier.w": head_w, "classifier.b": head_b}
     if mode == "head_only":
         for p in model.params.values():
             p.requires_grad = False
+        trainable = head
     else:
-        trainable = {**model.named_params(), **trainable}
+        trainable = {**model.named_params(), **head}
 
     state = AdamState(trainable)
     schedule = BatchSchedule(len(train_ds), config.batch_size, config.seed)
@@ -315,12 +321,11 @@ def finetune_classify(ckpt: Checkpoint, train_ds: LabeledDataset,
     record = task_metrics(task, k, scores, test_ds.targets)
     record.update({"task": task, "mode": mode, "n_train": len(train_ds),
                    "n_test": len(test_ds), "steps": config.total_iters})
-    return FinetuneResult(
-        metrics=record,
-        backbone={name: p.data for name, p in model.named_params().items()},
-        head_w=head_w.data,
-        head_b=head_b.data,
-    )
+    return record, Checkpoint(
+        model_config=ckpt.model_config, train_config=config,
+        params={n: p.data for n, p in {**model.named_params(), **head}.items()},
+        moments=None, step=config.total_iters, stage=ckpt.stage,
+        data_seed=ckpt.data_seed)
 
 
 def write_metrics(record: dict, path: str | os.PathLike) -> None:

@@ -55,7 +55,7 @@ def _totals(model, seq) -> tuple[float, int, int]:
 
 def corpus_stats(model, sequences) -> tuple[float, int, int]:
     """(nll_sum, n_scored_tokens, n_correct) pooled across sequences."""
-    if not sequences:
+    if len(sequences) == 0:
         raise ValueError("no sequences to evaluate")
     total, n_total, correct = 0.0, 0, 0
     for seq in sequences:
@@ -68,24 +68,6 @@ def corpus_stats(model, sequences) -> tuple[float, int, int]:
     return total, n_total, correct
 
 
-def perplexity(model, sequences) -> tuple[float, float]:
-    """(ppl, mean_nll) pooled over all scored positions of all sequences."""
-    total, n, _ = corpus_stats(model, sequences)
-    mean_nll = total / n
-    return math.exp(mean_nll), mean_nll
-
-
-def reconstruction_accuracy(model, sequences) -> float:
-    """Fraction of scored positions where the argmax logit is the true next
-    token (ties break toward the lowest token id)."""
-    _, n, correct = corpus_stats(model, sequences)
-    return correct / n
-
-
-# ---------------------------------------------------------------------------
-# length sweep
-# ---------------------------------------------------------------------------
-
 @dataclass
 class ReportRow:
     model_id: str
@@ -96,6 +78,30 @@ class ReportRow:
     n_scored_tokens: int
     mean_nll: float | None = None
     supported: bool = True
+
+
+def report_row(model_id: str, eval_length: int, model, sequences) -> ReportRow:
+    """The row of one (model, eval length) cell: mean NLL, ppl =
+    exp(mean NLL) and reconstruction accuracy (the fraction of scored
+    positions whose argmax logit is the true next token, ties toward the
+    lowest id), pooled over `sequences` by `corpus_stats`."""
+    total, n, correct = corpus_stats(model, sequences)
+    mean_nll = total / n
+    return ReportRow(model_id=model_id, eval_length=eval_length,
+                     ppl=math.exp(mean_nll), recon_acc=correct / n,
+                     n_sequences=len(sequences), n_scored_tokens=n,
+                     mean_nll=mean_nll)
+
+
+def perplexity(model, sequences) -> tuple[float, float]:
+    """(ppl, mean_nll) pooled over all scored positions of all sequences."""
+    row = report_row("", 0, model, sequences)
+    return row.ppl, row.mean_nll
+
+
+def reconstruction_accuracy(model, sequences) -> float:
+    """The `report_row` reconstruction accuracy of `sequences`."""
+    return report_row("", 0, model, sequences).recon_acc
 
 
 @dataclass
@@ -124,7 +130,6 @@ class PerplexityReport:
 
 
 def length_sweep(models, records, lengths, *,
-                 max_ambiguous_fraction: float = 0.1,
                  max_sequences: int | None = None) -> PerplexityReport:
     """Full (model x length) table over the corpus re-windowed per length.
 
@@ -138,7 +143,7 @@ def length_sweep(models, records, lengths, *,
     for length in lengths:
         if length < 2:
             raise ValueError(f"eval length must be >= 2, got {length}")
-        ws = extract_windows(records, length, max_ambiguous_fraction)
+        ws = extract_windows(records, length)
         seqs = [encode(w) for w in ws.windows[:max_sequences]]
         for model_id, model in models:
             if length > model.max_seq_len:
@@ -147,11 +152,5 @@ def length_sweep(models, records, lengths, *,
                     recon_acc=None, n_sequences=len(seqs), n_scored_tokens=0,
                     mean_nll=None, supported=False))
                 continue
-            total, n, correct = corpus_stats(model, seqs)
-            mean_nll = total / n
-            report.rows.append(ReportRow(
-                model_id=model_id, eval_length=length,
-                ppl=math.exp(mean_nll), recon_acc=correct / n,
-                n_sequences=len(seqs), n_scored_tokens=n,
-                mean_nll=mean_nll, supported=True))
+            report.rows.append(report_row(model_id, length, model, seqs))
     return report

@@ -1,7 +1,6 @@
 """Genome ingestion: FASTA parsing, windowing, splits, synthetic corpora.
 
-Everything here is a pure function over its inputs; multiple files can be
-processed by independent workers without shared state.
+Everything here is a pure function over its inputs.
 """
 
 from __future__ import annotations
@@ -164,14 +163,17 @@ def parse_fasta(source) -> list[FastaRecord]:
     return records
 
 
-def serialize_fasta(records: list[FastaRecord], width: int = 60) -> str:
-    """Render records back to FASTA text with fixed-width line wrapping."""
+FASTA_WIDTH = 60
+
+
+def serialize_fasta(records: list[FastaRecord]) -> str:
+    """Render records back to FASTA text, FASTA_WIDTH bases per line."""
     chunks = []
     for rec in records:
         chunks.append(f">{rec.header}\n")
         seq = rec.sequence
-        for i in range(0, len(seq), width):
-            chunks.append(seq[i:i + width] + "\n")
+        for i in range(0, len(seq), FASTA_WIDTH):
+            chunks.append(seq[i:i + FASTA_WIDTH] + "\n")
     return "".join(chunks)
 
 

@@ -343,6 +343,15 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
 # rotary rotation
 # ---------------------------------------------------------------------------
 
+def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    xe = x[..., 0::2]
+    xo = x[..., 1::2]
+    out = np.empty_like(x)
+    out[..., 0::2] = xe * cos - xo * sin
+    out[..., 1::2] = xe * sin + xo * cos
+    return out
+
+
 def rope_rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """Rotate consecutive coordinate pairs of the trailing axis.
 
@@ -352,22 +361,14 @@ def rope_rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     xd = x.data
     if xd.shape[-1] % 2 != 0:
         raise ShapeError(f"rotary rotation needs an even trailing dim, got {xd.shape}")
-    xe = xd[..., 0::2]
-    xo = xd[..., 1::2]
-    out = np.empty_like(xd)
-    out[..., 0::2] = xe * cos - xo * sin
-    out[..., 1::2] = xe * sin + xo * cos
 
     def bwd(g):
+        # the inverse rotation; negating sin is exact, so this is bitwise the
+        # transposed rotation written out
         if x.requires_grad:
-            ge = g[..., 0::2]
-            go = g[..., 1::2]
-            dx = np.empty_like(xd)
-            dx[..., 0::2] = ge * cos + go * sin
-            dx[..., 1::2] = -ge * sin + go * cos
-            _accum(x, dx)
+            _accum(x, _rotate(g, cos, -sin))
 
-    return _result(out, (x,), bwd)
+    return _result(_rotate(xd, cos, sin), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -88,19 +88,11 @@ def f1(preds, targets, averaging: str = "binary",
     raise ValueError(f"unknown averaging {averaging!r}")
 
 
-def _tie_averaged_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with equal scores sharing their average rank."""
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+def _tie_groups(sorted_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group index of each sorted score, and the size of each group: equal
+    neighbours share a group, and each NaN is a group of its own."""
+    group = np.cumsum(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]]) - 1
+    return group, np.bincount(group)
 
 
 def auc_roc(scores, targets) -> float | None:
@@ -113,7 +105,11 @@ def auc_roc(scores, targets) -> float | None:
     n_neg = int((t == 0).sum())
     if n_pos == 0 or n_neg == 0:
         return None
-    ranks = _tie_averaged_ranks(s)
+    # 1-based ranks, equal scores sharing their group's average rank
+    order = np.argsort(s, kind="mergesort")
+    group, sizes = _tie_groups(s[order])
+    ranks = np.empty(len(s))
+    ranks[order] = (np.cumsum(sizes) - (sizes - 1) / 2)[group]
     return (float(ranks[t == 1].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -129,22 +125,11 @@ def auc_pr(scores, targets) -> float | None:
     if n_pos == 0 or n_neg == 0:
         return None
     order = np.argsort(-s, kind="mergesort")
-    s_sorted = s[order]
-    t_sorted = t[order]
-    ap = 0.0
-    tp = fp = 0
-    i = 0
-    while i < len(s_sorted):
-        j = i
-        while j + 1 < len(s_sorted) and s_sorted[j + 1] == s_sorted[i]:
-            j += 1
-        d_tp = int((t_sorted[i:j + 1] == 1).sum())
-        d_fp = (j - i + 1) - d_tp
-        tp += d_tp
-        fp += d_fp
-        ap += (d_tp / n_pos) * (tp / (tp + fp))
-        i = j + 1
-    return ap
+    group, sizes = _tie_groups(s[order])
+    d_tp = np.bincount(group, weights=t[order] == 1).astype(np.int64)
+    # one step per threshold group, added in threshold order
+    steps = (d_tp / n_pos) * (np.cumsum(d_tp) / np.cumsum(sizes))
+    return float(np.cumsum(steps)[-1])
 
 
 def median_auc_per_label(score_matrix, target_matrix) -> float | None:

@@ -210,9 +210,6 @@ class LanguageModel:
     def named_params(self) -> dict[str, Tensor]:
         return {name: self.params[name] for name in param_shapes(self.config)}
 
-    def param_count(self) -> int:
-        return sum(p.data.size for p in self.named_params().values())
-
     def _rope(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Rotary tables for at least t positions: as long as the longest
         input so far, not max_seq_len, which a checkpoint header can set to

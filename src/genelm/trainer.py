@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import numbers
 import os
 import time
 import zlib
@@ -47,6 +48,18 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError(f"betas must be in [0, 1), got {self.beta1}, {self.beta2}")
+        for name in ("lr_peak", "lr_min", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be a finite number > 0, got {self.eps!r}")
+        if not self.max_grad_norm > 0:  # inf is allowed: it never clips
+            raise ValueError(f"max_grad_norm must be > 0, got {self.max_grad_norm!r}")
+        for name in ("warmup_iters", "total_iters"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
         if self.warmup_iters > self.total_iters:
             raise ValueError(f"warmup_iters {self.warmup_iters} exceeds "
                              f"total_iters {self.total_iters}")
@@ -61,12 +74,12 @@ class TrainConfig:
 
 def finetune_config(total_iters: int, *, batch_size: int = 8,
                     lr: float = 1e-4, schedule: str = "linear",
-                    warmup_ratio: float = 0.1, seed: int = 0) -> TrainConfig:
+                    seed: int = 0) -> TrainConfig:
     """Defaults for downstream finetuning: AdamW betas 0.9/0.999, no weight
     decay, linear decay to zero with a 10% warmup."""
     return TrainConfig(batch_size=batch_size, beta1=0.9, beta2=0.999,
                        weight_decay=0.0, lr_peak=lr, lr_min=0.0,
-                       warmup_iters=int(round(warmup_ratio * total_iters)),
+                       warmup_iters=int(round(0.1 * total_iters)),
                        total_iters=total_iters, seed=seed, schedule=schedule)
 
 
@@ -236,7 +249,8 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
                 raise TypeError("has_moments must be a boolean, step/stage/data_seed integers")
             model_config = ModelConfig(**header["model_config"])
             train_config = TrainConfig(**header["train_config"])
-        except (KeyError, TypeError, ValueError) as exc:
+        # OverflowError: an integer too large for a float, such as 10**400
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointFormatError(f"{path}: malformed header: {exc!r}") from exc
         for n, want in param_shapes(model_config).items():
             if n not in shapes:

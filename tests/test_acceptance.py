@@ -382,11 +382,11 @@ def test_criterion_9_finetune_ordering(species_task, species_backbone):
         accs = {}
         for mode in ("all_layers", "head_only"):
             cfg = TR.finetune_config(steps, batch_size=8, lr=1e-4, seed=seed)
-            res = D.finetune_classify(ckpt, train, test, mode=mode,
-                                      config=cfg, head_seed=seed)
-            accs[mode] = res.metrics["accuracy"]
+            metrics, tuned = D.finetune_classify(ckpt, train, test, mode=mode,
+                                                 config=cfg, head_seed=seed)
+            accs[mode] = metrics["accuracy"]
             if mode == "head_only":
-                frozen_ok &= all(np.array_equal(res.backbone[n], ckpt.params[n])
+                frozen_ok &= all(np.array_equal(tuned.params[n], ckpt.params[n])
                                  for n in ckpt.params)
         ordering_ok &= accs["all_layers"] >= accs["head_only"]
         details.append(f"s{seed}: {accs['all_layers']:.3f}>={accs['head_only']:.3f}")

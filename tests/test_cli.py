@@ -276,6 +276,25 @@ class TestUsageErrors:
         assert rc == 2
         assert "--batch-size must be >= 1" in capsys.readouterr().err
 
+    def test_non_finite_rate_exits_2(self, prepared, tmp_path, capsys):
+        rc = run(["train", "--shards", str(prepared / "data" / "train.tokens"),
+                  "--hidden", "16", "--n-layers", "1", "--n-heads", "2",
+                  "--ffn-dim", "32", "--context-len", "64", "--total-iters", "3",
+                  "--warmup-iters", "1", "--lr-peak", "nan", "--out-dir", str(tmp_path / "t")])
+        assert rc == 2
+        assert "lr_peak must be a finite number" in capsys.readouterr().err
+
+    def test_probe_on_multilabel_dataset_exits_2(self, prepared, tmp_path, rng, capsys):
+        tsv = tmp_path / "ml.tsv"
+        tsv.write_text("task_kind=multilabel\tk=3\n" + "".join(
+            f"{''.join(rng.choice(list('ACGT'), size=30))}\t"
+            f"{','.join(map(str, rng.integers(0, 2, 3)))}\n" for _ in range(20)))
+        rc = run(["probe", "--checkpoint", str(prepared / "run" / "checkpoint.bin"),
+                  "--train-dataset", str(tsv), "--test-dataset", str(tsv),
+                  "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert "one class per row; finetune handles multilabel" in capsys.readouterr().err
+
     def test_finetune_epochs_below_1_exits_2(self, prepared, tmp_path, capsys):
         for n in ("0", "-1"):
             rc = run(["finetune", "--checkpoint", str(prepared / "run" / "checkpoint.bin"),
@@ -460,6 +479,12 @@ class TestPipelines:
         after = TR.load_checkpoint(out / "finetuned.bin")
         for name, a in before.params.items():
             assert np.array_equal(after.params[name], a), name
-        assert "classifier.w" in after.params
+        # the finetuned file's layout: backbone, then the head; no moments
+        assert list(after.params) == [*before.params, "classifier.w", "classifier.b"]
+        assert after.params["classifier.w"].shape == (32, 2)
+        assert after.moments is None
+        assert after.train_config == TR.finetune_config(2, batch_size=8)
+        assert (after.step, after.stage, after.data_seed) == (2, before.stage,
+                                                              before.data_seed)
         record = json.loads((out / "metrics.json").read_text())
         assert record["mode"] == "head_only"

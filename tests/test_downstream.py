@@ -150,6 +150,12 @@ class TestProbe:
         with pytest.raises(ValueError, match="degenerate"):
             D.train_probe(X, np.zeros(10, dtype=int), X, np.zeros(10, dtype=int))
 
+    def test_multilabel_targets_rejected(self, rng):
+        X = rng.standard_normal((20, 3)).astype(np.float32)
+        y = rng.integers(0, 2, (20, 3))
+        with pytest.raises(DataConfigError, match="one class per row.*finetune"):
+            D.train_probe(X, y, X, y, n_classes=3)
+
 
 class TestLabeledDatasetIO:
     def test_multiclass_round_trip(self, tmp_path):
@@ -238,30 +244,30 @@ class TestFinetune:
     def test_head_only_freezes_backbone(self, checkpoint, rng):
         train, test = self.small_task(rng)
         cfg = TR.finetune_config(6, batch_size=8, seed=0)
-        res = D.finetune_classify(checkpoint, train, test, mode="head_only",
-                                  config=cfg)
+        _, tuned = D.finetune_classify(checkpoint, train, test, mode="head_only",
+                                       config=cfg)
         for name, before in checkpoint.params.items():
-            assert np.array_equal(res.backbone[name], before), name
+            assert np.array_equal(tuned.params[name], before), name
 
     def test_all_layers_changes_backbone(self, checkpoint, rng):
         train, test = self.small_task(rng)
         cfg = TR.finetune_config(6, batch_size=8, seed=0)
-        res = D.finetune_classify(checkpoint, train, test, mode="all_layers",
-                                  config=cfg)
-        changed = any(not np.array_equal(res.backbone[n], checkpoint.params[n])
+        _, tuned = D.finetune_classify(checkpoint, train, test, mode="all_layers",
+                                       config=cfg)
+        changed = any(not np.array_equal(tuned.params[n], checkpoint.params[n])
                       for n in checkpoint.params)
         assert changed
 
     def test_metrics_record_fields(self, checkpoint, rng):
         train, test = self.small_task(rng)
         cfg = TR.finetune_config(6, batch_size=8)
-        res = D.finetune_classify(checkpoint, train, test, mode="head_only",
-                                  config=cfg)
+        metrics, _ = D.finetune_classify(checkpoint, train, test, mode="head_only",
+                                         config=cfg)
         want = {"task", "mode", "accuracy", "precision", "recall", "f1", "mcc",
                 "auc_roc", "auc_pr", "median_auc", "n_train", "n_test", "steps"}
-        assert want == set(res.metrics)
-        assert res.metrics["task"] == "binary"
-        assert res.metrics["median_auc"] is None
+        assert want == set(metrics)
+        assert metrics["task"] == "binary"
+        assert metrics["median_auc"] is None
 
     def test_reported_metrics_are_the_trained_head_on_the_test_split(self, checkpoint,
                                                                      rng):
@@ -269,9 +275,10 @@ class TestFinetune:
         # 70 rows of mixed lengths: three scoring batches of padded rows
         seqs = [random_dna(rng, int(n)) for n in rng.integers(5, 30, 70)]
         test = D.LabeledDataset(seqs, np.arange(70) % 2, "binary", 2)
-        res = D.finetune_classify(checkpoint, train, test, mode="all_layers",
-                                  config=TR.finetune_config(6, batch_size=8))
-        model = LanguageModel(CFG, {n: K.Tensor(a) for n, a in res.backbone.items()})
+        metrics, tuned = D.finetune_classify(checkpoint, train, test, mode="all_layers",
+                                             config=TR.finetune_config(6, batch_size=8))
+        model = tuned.build_model()
+        head_w, head_b = tuned.params["classifier.w"], tuned.params["classifier.b"]
         lens = np.array([len(s) for s in seqs])
         ids = np.zeros((70, lens.max()), dtype=np.uint8)
         pool = np.zeros((70, lens.max(), 1), dtype=np.float32)
@@ -280,16 +287,16 @@ class TestFinetune:
             pool[i, :len(s), 0] = 1.0 / len(s)
         # oracle: numpy mean pooling and head over graph-free hidden states
         want = np.concatenate([
-            (model.hidden(ids[i:i + 32]) * pool[i:i + 32]).sum(axis=1) @ res.head_w
-            + res.head_b for i in range(0, 70, 32)])
+            (model.hidden(ids[i:i + 32]) * pool[i:i + 32]).sum(axis=1) @ head_w
+            + head_b for i in range(0, 70, 32)])
         with K.no_grad():
             got = np.concatenate([
                 D.classifier_logits(model, ids[i:i + 32], lens[i:i + 32],
-                                    K.Tensor(res.head_w), K.Tensor(res.head_b)).data
+                                    K.Tensor(head_w), K.Tensor(head_b)).data
                 for i in range(0, 70, 32)])
         assert np.array_equal(got, want)
         expect = D.task_metrics("binary", 2, want, test.targets)
-        assert {name: res.metrics[name] for name in expect} == expect
+        assert {name: metrics[name] for name in expect} == expect
 
     def test_binary_auc_ranks_by_margin_without_overflow(self):
         # sigmoid(40) and sigmoid(50) both round to 1.0, which would tie them
@@ -323,9 +330,9 @@ class TestFinetune:
         ys[0], ys[1] = 0, 1  # both classes present per label
         ds = D.LabeledDataset(seqs, ys, "multilabel", k)
         cfg = TR.finetune_config(4, batch_size=8)
-        res = D.finetune_classify(checkpoint, ds, ds, mode="head_only", config=cfg)
-        assert res.metrics["median_auc"] is not None
-        assert res.metrics["task"] == "multilabel"
+        metrics, _ = D.finetune_classify(checkpoint, ds, ds, mode="head_only", config=cfg)
+        assert metrics["median_auc"] is not None
+        assert metrics["task"] == "multilabel"
 
     def test_mismatched_task_rejected(self, checkpoint):
         a = D.LabeledDataset(["ACGT"], np.array([1]), "binary", 2)
@@ -377,6 +384,6 @@ class TestMultilabelMotifs:
             {n: p.data.copy() for n, p in fresh.named_params().items()},
             None, 0, 0, 0)
         fcfg = TR.finetune_config(6000, batch_size=8, lr=1e-3, seed=0)
-        res = D.finetune_classify(ckpt, train, test, mode="all_layers",
-                                  config=fcfg, head_seed=0)
-        assert res.metrics["median_auc"] > 0.8
+        metrics, _ = D.finetune_classify(ckpt, train, test, mode="all_layers",
+                                         config=fcfg, head_seed=0)
+        assert metrics["median_auc"] > 0.8

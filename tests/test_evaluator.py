@@ -114,6 +114,15 @@ class TestPerplexity:
         with pytest.raises(ValueError):
             E.perplexity(uniform_over_bases(), [])
 
+    def test_shard_array_scores_like_a_list(self, tmp_path, rng):
+        ids = rng.integers(2, 6, size=(3, 20)).astype(np.uint8)
+        T.write_shard(tmp_path / "s.tokens", ids)
+        shard = T.read_shard(tmp_path / "s.tokens")
+        model = uniform_over_bases()
+        assert E.corpus_stats(model, shard) == E.corpus_stats(model, list(shard))
+        with pytest.raises(ValueError, match="no sequences"):
+            E.corpus_stats(model, shard[:0])
+
     def test_context_overflow(self, rng):
         stub = uniform_over_bases()
         stub.max_seq_len = 16

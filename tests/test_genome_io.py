@@ -236,7 +236,7 @@ class TestParseFasta:
     @settings(max_examples=50)
     def test_serialize_parse_round_trip(self, entries):
         records = [G.FastaRecord(h, s) for h, s in entries]
-        text = G.serialize_fasta(records, width=60)
+        text = G.serialize_fasta(records)
         back = G.parse_fasta(io.StringIO(text))
         assert back == records
 

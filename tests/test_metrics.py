@@ -86,6 +86,18 @@ class TestPointExamples:
         assert M.median_auc_per_label(np.zeros((3, 2)),
                                       np.ones((3, 2), dtype=int)) is None
 
+    # pinned values: NaN sorts above every number, and each NaN is a
+    # threshold of its own, ranked in input order
+    @pytest.mark.parametrize("scores, targets, roc, pr", [
+        ([math.nan, 0.5, math.nan, 0.2, math.inf, -math.inf, 0.5], [1, 0, 0, 1, 1, 0, 1],
+         0.5416666666666666, 0.7708333333333333),
+        ([math.inf, math.inf, -math.inf, math.nan, 0.0, -0.0, 1.0, math.nan],
+         [0, 1, 1, 1, 0, 1, 0, 0], 0.375, 0.4928571428571428),
+        ([math.nan, math.nan, math.nan, 1.0], [0, 1, 1, 0], 1.0, 0.41666666666666663)])
+    def test_non_finite_scores(self, scores, targets, roc, pr):
+        assert M.auc_roc(scores, targets) == roc
+        assert M.auc_pr(scores, targets) == pr
+
     def test_precision_recall_accuracy(self):
         p = [1, 1, 0, 0]
         t = [1, 0, 1, 0]

@@ -81,6 +81,16 @@ class TestLrSchedule:
         with pytest.raises(ValueError):
             TR.TrainConfig(beta1=1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("lr_peak", math.nan), ("lr_peak", math.inf), ("lr_min", -1.0),
+        ("weight_decay", math.inf), ("weight_decay", -0.1), ("eps", math.nan),
+        ("eps", 0.0), ("max_grad_norm", math.nan), ("max_grad_norm", 0.0),
+        ("total_iters", -5), ("warmup_iters", -5), ("total_iters", 2.0),
+        ("warmup_iters", True)])
+    def test_non_finite_or_negative_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TR.TrainConfig(**{field: value})
+
 
 class TestAdamW:
     def test_zero_grad_no_decay_is_identity(self):
@@ -293,7 +303,8 @@ class TestCheckpoint:
         ("model_config", {"n_heads": 0}),
         ("train_config", {"batch_size": 0}), ("step", None), ("step", "17"),
         ("payload_crc32", None), ("model_config", {"norm_eps": "x"}),
-        ("model_config", {"norm_eps": math.nan})])
+        ("model_config", {"norm_eps": math.nan}), ("model_config", {"rope_base": 10**400}),
+        ("train_config", {"lr_peak": math.nan}), ("train_config", {"lr_peak": 10**400})])
     def test_malformed_header_rejected(self, tmp_path, rng, key, value):
         path = tmp_path / "h.bin"
         TR.save_checkpoint(self.make(rng), path)
