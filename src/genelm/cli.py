@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_input(p)
     p.add_argument("--window-len", type=int, default=512, help="window size in bp")
-    p.add_argument("--max-ambiguous-fraction", type=float, default=0.1,
+    p.add_argument("--max-ambiguous-fraction", type=float, default=G.MAX_AMBIGUOUS_FRACTION,
                    help="drop windows above this non-ACGT fraction")
     p.add_argument("--eval-fraction", type=float, default=0.01,
                    help="fraction of windows held out for eval")

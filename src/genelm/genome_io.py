@@ -181,8 +181,12 @@ _COUNT_BYTES = 1 << 17  # window bytes whose ACGT counts are taken at once
 _BASE_BYTES = BASES.encode("ascii")
 
 
+# default share of non-ACGT characters above which a window is dropped
+MAX_AMBIGUOUS_FRACTION = 0.1
+
+
 def extract_windows(records: list[FastaRecord], window_len: int,
-                    max_ambiguous_fraction: float = 0.1) -> WindowSet:
+                    max_ambiguous_fraction: float = MAX_AMBIGUOUS_FRACTION) -> WindowSet:
     """Cut records into consecutive non-overlapping windows of window_len.
 
     A trailing remainder shorter than window_len is dropped. Windows whose

@@ -9,8 +9,9 @@ backward pass. All arithmetic is 32-bit by default; building a graph from
 float64 arrays yields a float64 graph (used by tests that want a
 high-precision oracle).
 
-Inside `cores()`, OpenBLAS runs one thread and attention splits its heads
-over a thread pool instead, with bit-identical results; long sequences
+Inside `cores()`, OpenBLAS runs one thread and `over` splits work over a
+thread pool instead, with bit-identical results: attention splits its heads,
+and training splits its batch (`trainer.train_stage`). Long sequences
 (`cores_for`) use it, short ones keep OpenBLAS's own threads.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,17 +45,18 @@ def no_grad():
 # both cores for long sequences
 # ---------------------------------------------------------------------------
 
-# Sequence length from which `cores_for` enters `cores()`. Only attention is
-# split, so what pays is its share of the work, which grows with the length,
-# not the batch. On a 2-vCPU host single forwards of 1024 tokens and more ran
-# faster inside the scope, while single sequences of 64-512 tokens scored
-# slower there and batch-8 training steps of 512 tokens were no faster.
+# Sequence length from which `cores_for` enters `cores()`. A single sequence
+# splits only attention, so what pays is its share of the work, which grows
+# with the length. On a 2-vCPU host single forwards of 1024 tokens and more
+# ran faster inside the scope, while single sequences of 64-512 tokens scored
+# slower there.
 CORES_MIN_LEN = 1024
 
 _SPLIT = 1     # slices per split: _CORES inside `cores()`, 1 outside it
 _CORES = None  # BLAS threads counted at first use of `cores()`; 1 means off
 _BLAS = None   # (get_num_threads, set_num_threads) of numpy's OpenBLAS
 _POOL = None   # _CORES - 1 workers; the calling thread takes one slice
+_SLICE = threading.local()  # .inside: this thread is running a slice of `over`
 
 
 def _openblas():
@@ -114,17 +117,26 @@ def cores_for(length: int):
     return cores() if length >= CORES_MIN_LEN else contextlib.nullcontext()
 
 
-def _over(n: int, fn: Callable[[int, int], None]) -> None:
+def over(n: int, fn: Callable[[int, int], None]) -> None:
     """fn(lo, hi) over contiguous slices covering range(n): inside `cores()`
     one slice per pool thread and one on the calling thread, else the whole
-    range at once."""
+    range at once. A call made from inside a slice runs serially, as a
+    nested `cores()` does nothing, so it never waits on the pool it runs in."""
     k = min(_SPLIT, n)
-    if k <= 1:
+    if k <= 1 or getattr(_SLICE, "inside", False):
         fn(0, n)
         return
-    futures = [_POOL.submit(fn, n * i // k, n * (i + 1) // k) for i in range(1, k)]
+
+    def run(lo, hi):
+        _SLICE.inside = True
+        try:
+            fn(lo, hi)
+        finally:
+            _SLICE.inside = False
+
+    futures = [_POOL.submit(run, n * i // k, n * (i + 1) // k) for i in range(1, k)]
     try:
-        fn(0, n // k)
+        run(0, n // k)
     finally:
         for f in futures:  # every worker finishes before anything unwinds
             f.exception()
@@ -430,7 +442,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, head_scale: float) -> Tens
             o /= denom
             lse[h0:h1, i0:i1] = (m + np.log(denom))[..., 0]
 
-    _over(n, forward)
+    over(n, forward)
 
     def bwd(g):
         g2 = np.ascontiguousarray(g.reshape(n, t, d))
@@ -453,7 +465,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, head_scale: float) -> Tens
                 np.matmul(ds, kh[:, :i1], out=dq[h0:h1, i0:i1])
                 dk[h0:h1, :i1] += np.matmul(ds.transpose(0, 2, 1), qh[:, i0:i1])
 
-        _over(n, backward_heads)
+        over(n, backward_heads)
         dq *= q2.dtype.type(head_scale)
         _accum(q, dq.reshape(B, H, t, d))
         _accum(k, dk.reshape(B, H, t, d))
@@ -467,11 +479,14 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, head_scale: float) -> Tens
 # ---------------------------------------------------------------------------
 
 def cross_entropy(logits: Tensor, targets: np.ndarray,
-                  mask: np.ndarray | None = None) -> Tensor:
+                  mask: np.ndarray | None = None, *, total: int | None = None) -> Tensor:
     """Mean of -log softmax(logits)[target] over unmasked positions.
 
     logits: (..., V); targets: integer array of the leading shape; mask:
-    boolean array of the leading shape (None means score everything).
+    boolean array of the leading shape (None means score everything). With
+    `total`, the float64 sum is divided by `total` instead of this call's
+    own count: the share of a batch of `total` scored positions that these
+    rows carry.
     """
     ld = logits.data
     vocab = ld.shape[-1]
@@ -486,6 +501,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
     n_scored = int(mask.sum())
     if n_scored == 0:
         raise ValueError("cross_entropy: every position is masked")
+    if total is None:
+        total = n_scored
     if targets.min(initial=0) < 0 or targets.max(initial=0) >= vocab:
         raise ValueError(f"target id out of range for vocab {vocab}")
 
@@ -495,14 +512,14 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
     sumexp = np.sum(ez, axis=-1, keepdims=True)
     logp = z - np.log(sumexp)
     nll = -np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
-    loss_val = np.asarray(nll[mask].sum(dtype=np.float64) / n_scored, dtype=ld.dtype)
+    loss_val = np.asarray(nll[mask].sum(dtype=np.float64) / total, dtype=ld.dtype)
 
     def bwd(g):
         if logits.requires_grad:
             dl = ez / sumexp
             flat_idx = np.arange(targets.size) * vocab + targets.ravel()
             dl.reshape(-1)[flat_idx] -= 1.0
-            dl *= (mask[..., None] * (float(g) / n_scored)).astype(ld.dtype)
+            dl *= (mask[..., None] * (float(g) / total)).astype(ld.dtype)
             _accum(logits, dl)
 
     return _result(loss_val, (logits,), bwd)

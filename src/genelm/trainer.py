@@ -63,8 +63,10 @@ class TrainConfig:
         if self.warmup_iters > self.total_iters:
             raise ValueError(f"warmup_iters {self.warmup_iters} exceeds "
                              f"total_iters {self.total_iters}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name, least in (("batch_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.schedule not in ("cosine", "linear"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
 
@@ -154,13 +156,15 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         p.data -= (lr * update).astype(p.data.dtype)
 
 
-def optimizer_step(loss: Tensor, params: dict[str, Tensor], state: AdamState,
+def optimizer_step(loss: Tensor | None, params: dict[str, Tensor], state: AdamState,
                    step: int, cfg: TrainConfig) -> float:
-    """Backward from `loss`, clip the gradients to cfg.max_grad_norm, take
-    one AdamW step at lr_at(step, cfg) and zero the gradients. Parameters
-    the loss does not reach get zero gradients. `step` is 1-based; returns
-    the gradient norm before clipping."""
-    K.backward(loss)
+    """Backward from `loss` (None: the caller has filled the gradients),
+    clip the gradients to cfg.max_grad_norm, take one AdamW step at
+    lr_at(step, cfg) and zero the gradients. Parameters the loss does not
+    reach get zero gradients. `step` is 1-based; returns the gradient norm
+    before clipping."""
+    if loss is not None:
+        K.backward(loss)
     grads = {n: (p.grad if p.grad is not None else np.zeros_like(p.data))
              for n, p in params.items()}
     norm = clip_global_norm(grads, cfg.max_grad_norm)
@@ -244,9 +248,11 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
                 raise ValueError("tensor shapes must be non-negative integers")
             has_moments = header["has_moments"]
             step, stage, data_seed = (header[k] for k in ("step", "stage", "data_seed"))
-            if (type(has_moments) is not bool
-                    or any(type(c) is not int for c in (step, stage, data_seed))):
-                raise TypeError("has_moments must be a boolean, step/stage/data_seed integers")
+            if type(has_moments) is not bool:
+                raise TypeError(f"has_moments must be a boolean, got {has_moments!r}")
+            for name, value in (("step", step), ("stage", stage), ("data_seed", data_seed)):
+                if type(value) is not int or value < 0:
+                    raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
             model_config = ModelConfig(**header["model_config"])
             train_config = TrainConfig(**header["train_config"])
         # OverflowError: an integer too large for a float, such as 10**400
@@ -342,6 +348,13 @@ def train_stage(model_config: ModelConfig, train_config: TrainConfig,
     the continuation is bit-identical to an uninterrupted run with the
     same seeds. The result's stage is `stage_index`, by default `start`'s
     stage on a resume and 0 on a fresh run.
+
+    A batch of two or more windows runs as two fixed halves, rows
+    [0, B//2) and [B//2, B), each with its own gradients, at once inside
+    `K.cores()` (one after the other where OpenBLAS runs one thread); half
+    1's gradients are added to half 0's before the one clip and AdamW step.
+    The split depends only on the batch size, so the loss curve is the same
+    on any number of cores.
     """
     ctx = model_config.max_seq_len
     if data.ndim != 2 or data.shape[0] == 0:
@@ -377,26 +390,58 @@ def train_stage(model_config: ModelConfig, train_config: TrainConfig,
     if stop_at_step is not None:
         end_step = min(stop_at_step, end_step)
     params = model.named_params()
-    schedule = BatchSchedule(data.shape[0], train_config.batch_size, data_seed)
+    b = train_config.batch_size
+    halves = [(0, b)] if b == 1 else [(0, b // 2), (b // 2, b)]
+    # one model per half over the same parameter arrays, so that each half's
+    # backward writes its own gradients. Each buffer is made by the half's
+    # first backward and then zeroed in place (see optimizer_step); making
+    # them before the first forward measured slower and held more memory
+    models = [model] + [LanguageModel(model_config, {n: Tensor(p.data, requires_grad=True)
+                                                     for n, p in params.items()})
+                        for _ in halves[1:]]
+    schedule = BatchSchedule(data.shape[0], b, data_seed)
     metrics: list[dict] = []
     with (open(log_path, "a", encoding="ascii") if log_path
-          else contextlib.nullcontext()) as log_file, K.cores_for(ctx):
+          else contextlib.nullcontext()) as log_file, \
+            (K.cores() if len(halves) > 1 else K.cores_for(ctx)):
         for i in range(step0, end_step):
             t_start = time.perf_counter()
             idx = schedule.indices(i)
             batch = data[idx, :ctx].astype(np.int64)
-            loss = K.cross_entropy(model.forward(batch), *next_token_targets(batch))
-            loss_val = float(loss.data)
+            targets, mask = next_token_targets(batch)
+            total = int(mask.sum())
+            if total == 0:
+                raise DataConfigError(f"step {i + 1}: the batch has no scored target")
+            shares = [0.0] * len(halves)
+
+            def run(lo, hi):
+                for j in range(lo, hi):
+                    r0, r1 = halves[j]
+                    if mask[r0:r1].any():  # a half with no scored target adds nothing
+                        loss = K.cross_entropy(models[j].forward(batch[r0:r1]),
+                                               targets[r0:r1], mask[r0:r1], total=total)
+                        shares[j] = float(loss.data)
+                        K.backward(loss)
+
+            K.over(len(halves), run)
+            for m in models[1:]:  # a fixed order: half 0 += half 1
+                for n, p in m.named_params().items():
+                    if p.grad is not None:  # None until the half first scores
+                        if params[n].grad is None:
+                            params[n].grad = np.zeros_like(p.data)
+                        params[n].grad += p.grad
+                        p.grad.fill(0)
+            loss_val = float(np.float32(sum(shares)))
             if math.isnan(loss_val):
                 raise TrainingDivergedError("NaN loss", i + 1)
-            norm = optimizer_step(loss, params, state, i + 1, train_config)
+            norm = optimizer_step(None, params, state, i + 1, train_config)
             row = {
                 "step": i + 1,
                 "lr": lr_at(i + 1, train_config),
                 "loss": loss_val,
                 "ppl": math.exp(loss_val) if loss_val < 700 else math.inf,
                 "grad_norm": norm,
-                "tokens_seen": (i + 1) * train_config.batch_size * ctx,
+                "tokens_seen": (i + 1) * b * ctx,
                 "wall_ms": (time.perf_counter() - t_start) * 1e3,
             }
             metrics.append(row)

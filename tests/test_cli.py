@@ -284,6 +284,31 @@ class TestUsageErrors:
         assert rc == 2
         assert "lr_peak must be a finite number" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, prepared, tmp_path, capsys):
+        rc = run(["train", "--shards", str(prepared / "data" / "train.tokens"),
+                  "--hidden", "16", "--n-layers", "1", "--n-heads", "2",
+                  "--ffn-dim", "32", "--context-len", "64", "--total-iters", "3",
+                  "--warmup-iters", "1", "--seed", "-1", "--out-dir", str(tmp_path / "t")])
+        assert rc == 2
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("step", -5), ("data_seed", -1)])
+    def test_negative_counter_in_init_checkpoint_exits_2(self, prepared, tmp_path, capsys,
+                                                         key, value):
+        magic, header, payload = (prepared / "run" / "checkpoint.bin").read_bytes().split(
+            b"\n", 2)
+        header = json.loads(header)
+        header[key] = value
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\n".join([magic, json.dumps(header).encode(), payload]))
+        rc = run(["train", "--shards", str(prepared / "data" / "train.tokens"),
+                  "--hidden", "32", "--n-layers", "1", "--n-heads", "2",
+                  "--ffn-dim", "48", "--context-len", "64", "--batch-size", "8",
+                  "--total-iters", "30", "--warmup-iters", "5", "--lr-peak", "2e-3",
+                  "--lr-min", "2e-4", "--init-from", str(bad), "--out-dir", str(tmp_path / "t")])
+        assert rc == 2
+        assert f"{key} must be an integer >= 0, got {value}" in capsys.readouterr().err
+
     def test_probe_on_multilabel_dataset_exits_2(self, prepared, tmp_path, rng, capsys):
         tsv = tmp_path / "ml.tsv"
         tsv.write_text("task_kind=multilabel\tk=3\n" + "".join(

@@ -90,7 +90,7 @@ class TestScope:
             barrier.wait()  # every slice runs at once
 
         with K.cores():
-            K._over(n, record)
+            K.over(n, record)
         assert sorted(seen) == [(4 * i, 4 * (i + 1)) for i in range(BLAS_THREADS)]
         assert len(set(seen.values())) == BLAS_THREADS
         assert seen[(0, 4)] == threading.get_ident()
@@ -105,21 +105,25 @@ class TestScope:
             done.append(lo)
 
         with K.cores(), pytest.raises(ZeroDivisionError):
-            K._over(4 * BLAS_THREADS, fail_off_the_calling_thread)
+            K.over(4 * BLAS_THREADS, fail_off_the_calling_thread)
         assert done == [0]
 
     def test_serial_outside_the_scope(self):
         threads = set()
-        K._over(10, lambda lo, hi: threads.add((lo, hi, threading.get_ident())))
+        K.over(10, lambda lo, hi: threads.add((lo, hi, threading.get_ident())))
         assert threads == {(0, 10, threading.get_ident())}
 
     def test_gate_is_the_sequence_length(self):
         assert isinstance(K.cores_for(K.CORES_MIN_LEN - 1), contextlib.nullcontext)
         assert not isinstance(K.cores_for(K.CORES_MIN_LEN), contextlib.nullcontext)
 
-    def test_train_stage_gates_on_the_context_not_the_batch(self, rng, monkeypatch):
-        cfg = dataclasses.replace(TINY, max_seq_len=K.CORES_MIN_LEN // 2)
-        data = rng.integers(2, 6, size=(4, cfg.max_seq_len)).astype(np.uint8)
+    @pytest.mark.parametrize("batch_size, context, enters", [
+        (1, K.CORES_MIN_LEN // 2, False), (2, K.CORES_MIN_LEN // 2, True),
+        (1, K.CORES_MIN_LEN, True)])
+    def test_train_stage_gates_on_the_batch_or_the_context(self, rng, monkeypatch,
+                                                          batch_size, context, enters):
+        cfg = dataclasses.replace(TINY, max_seq_len=context)
+        data = rng.integers(2, 6, size=(2, context)).astype(np.uint8)
         entered = []
         cores = K.cores
 
@@ -128,9 +132,24 @@ class TestScope:
             return cores()
 
         monkeypatch.setattr(K, "cores", counting_cores)
-        TR.train_stage(cfg, TR.TrainConfig(batch_size=4, total_iters=1, warmup_iters=1),
-                       data, init_seed=4)
-        assert not entered
+        TR.train_stage(cfg, TR.TrainConfig(batch_size=batch_size, total_iters=1,
+                                           warmup_iters=1), data, init_seed=4)
+        assert bool(entered) == enters
+
+    @needs_split
+    def test_nested_over_runs_serially(self):
+        """An `over` inside a slice runs on the slice's own thread; in a child,
+        because a nested split on the one pool thread would never return."""
+        code = ("import threading\n"
+                "from genelm import kernels as K\n"
+                "seen = set()\n"
+                "def outer(lo, hi):\n"
+                "    me = threading.get_ident()\n"
+                "    K.over(4, lambda a, b: seen.add((lo, a, b, threading.get_ident() == me)))\n"
+                "with K.cores():\n"
+                "    K.over(2, outer)\n"
+                "print(sorted(seen))\n")
+        assert run_python(code, timeout=60).strip() == "[(0, 0, 4, True), (1, 0, 4, True)]"
 
     @needs_blas
     def test_one_blas_thread_keeps_the_serial_path(self):
@@ -215,9 +234,74 @@ class TestBitIdentical:
         monkeypatch.setattr(K, "cores", counting_cores)
         ckpt, rows = TR.train_stage(TINY, tcfg, data, init_seed=4)
         assert entered
-        monkeypatch.setattr(K, "CORES_MIN_LEN", 10**9)
+        # the halves one after the other, on OpenBLAS's own threads
+        monkeypatch.setattr(K, "cores", contextlib.nullcontext)
         ckpt_serial, rows_serial = TR.train_stage(TINY, tcfg, data, init_seed=4)
         assert len(entered) == 1
         assert [r["loss"] for r in rows] == [r["loss"] for r in rows_serial]
         for n in ckpt.params:
             assert np.array_equal(ckpt.params[n], ckpt_serial.params[n]), n
+
+
+# run(batch_size) trains windows of 128 tokens for 3 steps and returns the
+# losses, the gradient norms and a digest of the parameters and both Adam
+# moments; the same source runs in this process and in a child
+HALVES_RUN = """
+import hashlib
+import numpy as np
+from genelm import trainer as TR
+from genelm.model import ModelConfig
+
+def run(batch_size):
+    cfg = ModelConfig(vocab_size=6, hidden=16, n_layers=2, n_heads=2, ffn_dim=24,
+                      max_seq_len=128)
+    data = np.random.default_rng(batch_size).integers(1, 6, size=(3 * batch_size, 128))
+    tcfg = TR.TrainConfig(batch_size=batch_size, total_iters=3, warmup_iters=1,
+                          lr_peak=1e-3, lr_min=1e-4)
+    ckpt, rows = TR.train_stage(cfg, tcfg, data.astype(np.uint8), init_seed=5)
+    digest = hashlib.sha256()
+    for part in (ckpt.params, *ckpt.moments):
+        for n in sorted(part):
+            digest.update(part[n].tobytes())
+    return repr(([r["loss"] for r in rows], [r["grad_norm"] for r in rows],
+                 digest.hexdigest()))
+"""
+
+
+def run_python(code, *, timeout, **env):
+    src = os.path.dirname(os.path.dirname(K.__file__))
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=timeout, check=True).stdout
+
+
+class TestHalves:
+    @needs_split
+    @pytest.mark.parametrize("batch_size", [2, 3, 8])
+    def test_threaded_halves_equal_serial_halves(self, batch_size):
+        """Losses, gradient norms, parameters and both moments are bitwise
+        the same with the halves at once on a thread each and one after the
+        other in a process whose OpenBLAS runs one thread."""
+        serial = run_python(HALVES_RUN + f"print(run({batch_size}))", timeout=120,
+                            OPENBLAS_NUM_THREADS="1")
+        space = {}
+        exec(HALVES_RUN, space)
+        with switch_every(1e-6):
+            threaded = space["run"](batch_size)
+        assert threaded == serial.strip()
+
+    def test_two_halves_at_a_long_context_finish(self):
+        """Each half's attention runs serially inside its slice: a nested
+        split would wait on the one pool thread that is running the other
+        half."""
+        code = ("import numpy as np\n"
+                "from genelm import kernels as K, trainer as TR\n"
+                "from genelm.model import ModelConfig\n"
+                "cfg = ModelConfig(vocab_size=6, hidden=16, n_layers=1, n_heads=2, ffn_dim=24,\n"
+                "                  max_seq_len=K.CORES_MIN_LEN)\n"
+                "data = np.full((2, K.CORES_MIN_LEN), 3, dtype=np.uint8)\n"
+                "_, rows = TR.train_stage(cfg, TR.TrainConfig(batch_size=2, total_iters=1,\n"
+                "                                             warmup_iters=1), data)\n"
+                "print(len(rows))\n")
+        assert run_python(code, timeout=120).strip() == "1"

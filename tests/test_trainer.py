@@ -86,7 +86,8 @@ class TestLrSchedule:
         ("weight_decay", math.inf), ("weight_decay", -0.1), ("eps", math.nan),
         ("eps", 0.0), ("max_grad_norm", math.nan), ("max_grad_norm", 0.0),
         ("total_iters", -5), ("warmup_iters", -5), ("total_iters", 2.0),
-        ("warmup_iters", True)])
+        ("warmup_iters", True), ("seed", -1), ("seed", True), ("seed", 2.5),
+        ("batch_size", 0), ("batch_size", 2.5), ("batch_size", True), ("batch_size", "x")])
     def test_non_finite_or_negative_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             TR.TrainConfig(**{field: value})
@@ -304,7 +305,8 @@ class TestCheckpoint:
         ("train_config", {"batch_size": 0}), ("step", None), ("step", "17"),
         ("payload_crc32", None), ("model_config", {"norm_eps": "x"}),
         ("model_config", {"norm_eps": math.nan}), ("model_config", {"rope_base": 10**400}),
-        ("train_config", {"lr_peak": math.nan}), ("train_config", {"lr_peak": 10**400})])
+        ("train_config", {"lr_peak": math.nan}), ("train_config", {"lr_peak": 10**400}),
+        ("step", -5), ("stage", -1), ("data_seed", -1), ("train_config", {"seed": -1})])
     def test_malformed_header_rejected(self, tmp_path, rng, key, value):
         path = tmp_path / "h.bin"
         TR.save_checkpoint(self.make(rng), path)
@@ -429,6 +431,84 @@ class TestTrainStage:
             assert set(got) == {"step", "lr", "loss", "ppl", "grad_norm",
                                 "tokens_seen", "wall_ms"}
             assert got["loss"] == want["loss"]
+
+
+def step_gradients(monkeypatch, cfg, tcfg, data, seed):
+    """The gradients train_stage hands its first optimizer step, in float64,
+    and that step's loss."""
+    seen = []
+    step = TR.optimizer_step
+
+    def capture(loss, params, *args):
+        seen.append({n: p.grad.astype(np.float64) for n, p in params.items()})
+        return step(loss, params, *args)
+
+    monkeypatch.setattr(TR, "optimizer_step", capture)
+    _, rows = TR.train_stage(cfg, dataclasses.replace(tcfg, total_iters=1, warmup_iters=0),
+                             data, data_seed=seed, init_seed=seed)
+    return seen[0], rows[0]["loss"]
+
+
+def whole_batch_oracle(cfg, tcfg, data, seed):
+    """Gradients and loss of the first batch as one float64 graph."""
+    model = LanguageModel.init(cfg, seed=seed)
+    model64 = LanguageModel(cfg, {n: K.Tensor(p.data.astype(np.float64), requires_grad=True)
+                                  for n, p in model.params.items()})
+    batch = data[TR.BatchSchedule(len(data), tcfg.batch_size, seed).indices(0),
+                 :cfg.max_seq_len].astype(np.int64)
+    loss = K.cross_entropy(model64.forward(batch), *T.next_token_targets(batch))
+    K.backward(loss)
+    return {n: p.grad for n, p in model64.named_params().items()}, float(loss.data)
+
+
+class TestHalves:
+    """A batch of B >= 2 runs as rows [0, B//2) and [B//2, B), each with its
+    own gradients; half 1's are added to half 0's."""
+
+    @pytest.mark.parametrize("batch_size, masked_rows", [(2, 0), (3, 0), (8, 0), (3, 1),
+                                                          (8, 4)])
+    def test_gradient_matches_float64_whole_batch(self, rng, monkeypatch, batch_size,
+                                                  masked_rows):
+        """masked_rows: leading batch rows made all-N, so the first half
+        scores less than the second or nothing at all."""
+        data = small_shard(rng, n=batch_size)
+        tcfg = TR.TrainConfig(batch_size=batch_size)
+        order = TR.BatchSchedule(len(data), batch_size, 7).indices(0)
+        data[order[:masked_rows]] = T.UNK_ID
+        data[order[masked_rows:], 5] = T.UNK_ID  # and a few masked targets elsewhere
+        got, loss = step_gradients(monkeypatch, SMALL, tcfg, data, 7)
+        want, want_loss = whole_batch_oracle(SMALL, tcfg, data, 7)
+        assert loss == pytest.approx(want_loss, rel=1e-6)
+        for n, g in want.items():
+            np.testing.assert_allclose(got[n], g, rtol=2e-4, atol=2e-7 * np.abs(g).max(),
+                                       err_msg=n)
+
+    def test_fully_masked_batch_raises(self, rng):
+        data = np.full((4, 32), T.UNK_ID, dtype=np.uint8)
+        tcfg = TR.TrainConfig(batch_size=2, total_iters=1, warmup_iters=0)
+        with pytest.raises(ValueError, match="no scored target"):
+            TR.train_stage(SMALL, tcfg, data)
+
+    def test_batch_of_one_is_the_whole_batch_step(self, rng):
+        """B = 1 takes the step written out here: one forward, the batch's
+        mean loss, backward, clip and AdamW, bit for bit."""
+        data = small_shard(rng, n=8)
+        tcfg = TR.TrainConfig(batch_size=1, total_iters=4, warmup_iters=1,
+                              lr_peak=1e-3, lr_min=1e-4)
+        ckpt, rows = TR.train_stage(SMALL, tcfg, data, data_seed=2, init_seed=2)
+        model = LanguageModel.init(SMALL, seed=2)
+        params = model.named_params()
+        state = TR.AdamState(params)
+        schedule = TR.BatchSchedule(len(data), 1, 2)
+        for i, row in enumerate(rows):
+            batch = data[schedule.indices(i), :SMALL.max_seq_len].astype(np.int64)
+            loss = K.cross_entropy(model.forward(batch), *T.next_token_targets(batch))
+            assert row["loss"] == float(loss.data)
+            assert row["grad_norm"] == TR.optimizer_step(loss, params, state, i + 1, tcfg)
+        for n, p in params.items():
+            assert np.array_equal(ckpt.params[n], p.data), n
+            assert np.array_equal(ckpt.moments[0][n], state.m[n]), n
+            assert np.array_equal(ckpt.moments[1][n], state.v[n]), n
 
 
 class TestExtension:
