@@ -11,8 +11,8 @@ high-precision oracle).
 
 Inside `cores()`, OpenBLAS runs one thread and `over` splits work over a
 thread pool instead, with bit-identical results: attention splits its heads,
-and training splits its batch (`trainer.train_stage`). Long sequences
-(`cores_for`) use it, short ones keep OpenBLAS's own threads.
+and training splits its batch (`trainer.train_stage`). Long sequences and
+training halves (`cores_for`) use it, short ones keep OpenBLAS's own threads.
 """
 
 from __future__ import annotations
@@ -45,11 +45,11 @@ def no_grad():
 # both cores for long sequences
 # ---------------------------------------------------------------------------
 
-# Sequence length from which `cores_for` enters `cores()`. A single sequence
-# splits only attention, so what pays is its share of the work, which grows
-# with the length. On a 2-vCPU host single forwards of 1024 tokens and more
-# ran faster inside the scope, while single sequences of 64-512 tokens scored
-# slower there.
+# Tokens from which `cores_for` enters `cores()`: a single sequence's length,
+# or in training a half batch's. A single sequence splits only attention, so
+# what pays is its share of the work, which grows with the length. On a
+# 2-vCPU host single forwards of 1024 tokens and more ran faster inside the
+# scope, while single sequences of 64-512 tokens scored slower there.
 CORES_MIN_LEN = 1024
 
 _SPLIT = 1     # slices per split: _CORES inside `cores()`, 1 outside it
@@ -112,8 +112,8 @@ def cores():
 
 
 def cores_for(length: int):
-    """`cores()` for sequences of at least CORES_MIN_LEN tokens, else a
-    scope that does nothing."""
+    """`cores()` when one thread's share, a sequence or a training half,
+    has at least CORES_MIN_LEN tokens, else a scope that does nothing."""
     return cores() if length >= CORES_MIN_LEN else contextlib.nullcontext()
 
 

@@ -350,11 +350,13 @@ def train_stage(model_config: ModelConfig, train_config: TrainConfig,
     stage on a resume and 0 on a fresh run.
 
     A batch of two or more windows runs as two fixed halves, rows
-    [0, B//2) and [B//2, B), each with its own gradients, at once inside
-    `K.cores()` (one after the other where OpenBLAS runs one thread); half
-    1's gradients are added to half 0's before the one clip and AdamW step.
-    The split depends only on the batch size, so the loss curve is the same
-    on any number of cores.
+    [0, B//2) and [B//2, B), each with its own gradients; half 1's
+    gradients are added to half 0's before the one clip and AdamW step.
+    Halves of at least `K.CORES_MIN_LEN` tokens run at once inside
+    `K.cores()` (one after the other where OpenBLAS runs one thread),
+    smaller ones one after the other on OpenBLAS's own threads. The split
+    depends only on the batch size, so the loss curve is the same on any
+    number of cores.
     """
     ctx = model_config.max_seq_len
     if data.ndim != 2 or data.shape[0] == 0:
@@ -401,9 +403,13 @@ def train_stage(model_config: ModelConfig, train_config: TrainConfig,
                         for _ in halves[1:]]
     schedule = BatchSchedule(data.shape[0], b, data_seed)
     metrics: list[dict] = []
+    # the scope gates on the tokens one thread takes at once: a half, or a
+    # batch of one. Halves of 4x128 tokens at once were faster, but the best
+    # step of a process ranged over 9.2-12.9k tokens/s from one process to
+    # the next, against 7.8-8.5k one after the other (2-vCPU host)
     with (open(log_path, "a", encoding="ascii") if log_path
           else contextlib.nullcontext()) as log_file, \
-            (K.cores() if len(halves) > 1 else K.cores_for(ctx)):
+            K.cores_for(halves[0][1] * ctx):
         for i in range(step0, end_step):
             t_start = time.perf_counter()
             idx = schedule.indices(i)

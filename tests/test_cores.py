@@ -117,13 +117,9 @@ class TestScope:
         assert isinstance(K.cores_for(K.CORES_MIN_LEN - 1), contextlib.nullcontext)
         assert not isinstance(K.cores_for(K.CORES_MIN_LEN), contextlib.nullcontext)
 
-    @pytest.mark.parametrize("batch_size, context, enters", [
-        (1, K.CORES_MIN_LEN // 2, False), (2, K.CORES_MIN_LEN // 2, True),
-        (1, K.CORES_MIN_LEN, True)])
-    def test_train_stage_gates_on_the_batch_or_the_context(self, rng, monkeypatch,
-                                                          batch_size, context, enters):
-        cfg = dataclasses.replace(TINY, max_seq_len=context)
-        data = rng.integers(2, 6, size=(2, context)).astype(np.uint8)
+    def test_train_stage_gates_on_the_tokens_of_a_half(self, rng, monkeypatch):
+        """The scope is entered when one thread's share, a half of the batch
+        or a batch of one, has at least CORES_MIN_LEN tokens."""
         entered = []
         cores = K.cores
 
@@ -132,9 +128,16 @@ class TestScope:
             return cores()
 
         monkeypatch.setattr(K, "cores", counting_cores)
-        TR.train_stage(cfg, TR.TrainConfig(batch_size=batch_size, total_iters=1,
-                                           warmup_iters=1), data, init_seed=4)
-        assert bool(entered) == enters
+        short = K.CORES_MIN_LEN // 2
+        for batch_size, context, enters in [(1, short, False), (2, short, False),
+                                            (3, short, False), (4, short, True),
+                                            (1, K.CORES_MIN_LEN, True)]:
+            cfg = dataclasses.replace(TINY, max_seq_len=context)
+            data = rng.integers(2, 6, size=(batch_size, context)).astype(np.uint8)
+            entered.clear()
+            TR.train_stage(cfg, TR.TrainConfig(batch_size=batch_size, total_iters=1,
+                                               warmup_iters=1), data, init_seed=4)
+            assert bool(entered) == enters, (batch_size, context)
 
     @needs_split
     def test_nested_over_runs_serially(self):
@@ -279,7 +282,7 @@ def run_python(code, *, timeout, **env):
 class TestHalves:
     @needs_split
     @pytest.mark.parametrize("batch_size", [2, 3, 8])
-    def test_threaded_halves_equal_serial_halves(self, batch_size):
+    def test_threaded_halves_equal_serial_halves(self, batch_size, monkeypatch):
         """Losses, gradient norms, parameters and both moments are bitwise
         the same with the halves at once on a thread each and one after the
         other in a process whose OpenBLAS runs one thread."""
@@ -287,8 +290,19 @@ class TestHalves:
                             OPENBLAS_NUM_THREADS="1")
         space = {}
         exec(HALVES_RUN, space)
+        halves = []
+        over = K.over
+
+        def counting_over(n, fn):
+            if K._SPLIT > 1 and not getattr(K._SLICE, "inside", False):
+                halves.append(n)  # a split outside any slice: the step's halves
+            over(n, fn)
+
+        monkeypatch.setattr(K, "CORES_MIN_LEN", 1)  # halves of 128 tokens split too
+        monkeypatch.setattr(K, "over", counting_over)
         with switch_every(1e-6):
             threaded = space["run"](batch_size)
+        assert halves == [2, 2, 2]
         assert threaded == serial.strip()
 
     def test_two_halves_at_a_long_context_finish(self):
