@@ -111,9 +111,18 @@ def _parse_synthetic(spec_parts: list[str], seed: int) -> G.FastaRecord:
         spec[key.replace("-", "_")] = value
     if "length" not in spec:
         raise GenelmError("--synthetic needs length=<bp>")
-    return G.generate_synthetic_genome(
-        seed=int(spec["seed"]), length=int(spec["length"]),
-        markov_order=int(spec["markov_order"]), sharpness=float(spec["sharpness"]))
+    kinds = {"seed": int, "length": int, "markov_order": int, "sharpness": float}
+    values = {}
+    for key, value in spec.items():
+        if key not in kinds:
+            raise GenelmError(f"--synthetic has no key {key!r}")
+        try:
+            values[key] = kinds[key](value)
+        except ValueError:
+            raise GenelmError(f"--synthetic {key} must be "
+                              f"{'an integer' if kinds[key] is int else 'a number'}, "
+                              f"got {value!r}") from None
+    return G.generate_synthetic_genome(**values)
 
 
 def _load_records(args) -> list[G.FastaRecord]:
@@ -220,7 +229,11 @@ def cmd_sweep(args) -> int:
         models.append((os.path.splitext(os.path.basename(path))[0],
                        ckpt.build_model()))
     records = _load_records(args)
-    lengths = [int(x) for x in args.lengths.split(",")]
+    try:
+        lengths = [int(x) for x in args.lengths.split(",")]
+    except ValueError:
+        raise GenelmError(f"--lengths takes comma-separated integers, "
+                          f"got {args.lengths!r}") from None
     report = E.length_sweep(models, records, lengths,
                             max_sequences=args.max_sequences)
     os.makedirs(args.out_dir, exist_ok=True)

@@ -176,11 +176,12 @@ def train_probe(train_embeddings, train_targets, test_embeddings, test_targets,
     Xn = (X - mu) / sd
     Xtn = (Xt - mu) / sd
 
-    w, b = _new_head(X.shape[1], k, seed)
-    params = {"w": w, "b": b}
+    # the config first: it names a bad seed, which the head's generator would not
     cfg = TrainConfig(batch_size=1, beta1=0.9, beta2=0.999, weight_decay=0.0,
                       max_grad_norm=math.inf, lr_peak=PROBE_LR, lr_min=PROBE_LR * 0.01,
                       warmup_iters=0, total_iters=PROBE_STEPS, seed=seed)
+    w, b = _new_head(X.shape[1], k, seed)
+    params = {"w": w, "b": b}
     state = AdamState(params)
     xn = Tensor(Xn)
     for i in range(PROBE_STEPS):

@@ -24,7 +24,8 @@ class ContextOverflowError(GenelmError, ValueError):
 
 
 class TrainingDivergedError(GenelmError, RuntimeError):
-    """NaN loss or gradients; carries the step at which training broke."""
+    """Non-finite loss or NaN gradients; carries the step at which training
+    broke."""
 
     def __init__(self, message: str, step: int):
         super().__init__(f"step {step}: {message}")

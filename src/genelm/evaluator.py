@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -87,8 +87,10 @@ def report_row(model_id: str, eval_length: int, model, sequences) -> ReportRow:
     lowest id), pooled over `sequences` by `corpus_stats`."""
     total, n, correct = corpus_stats(model, sequences)
     mean_nll = total / n
+    # math.exp overflows above ~709.78 nats
     return ReportRow(model_id=model_id, eval_length=eval_length,
-                     ppl=math.exp(mean_nll), recon_acc=correct / n,
+                     ppl=math.exp(mean_nll) if mean_nll < 709.78 else math.inf,
+                     recon_acc=correct / n,
                      n_sequences=len(sequences), n_scored_tokens=n,
                      mean_nll=mean_nll)
 
@@ -112,21 +114,14 @@ class PerplexityReport:
         with atomic_write(path) as f:
             f.write(CSV_HEADER + "\n")
             for r in self.rows:
-                ppl = repr(r.ppl) if r.ppl is not None else ""
-                acc = repr(r.recon_acc) if r.recon_acc is not None else ""
-                f.write(f"{r.model_id},{r.eval_length},{ppl},{acc},"
-                        f"{r.n_sequences},{r.n_scored_tokens}\n")
+                row = asdict(r)
+                f.write(",".join("" if row[c] is None else str(row[c])
+                                 for c in CSV_HEADER.split(",")) + "\n")
 
     def write_jsonl(self, path: str | os.PathLike) -> None:
         with atomic_write(path) as f:
             for r in self.rows:
-                f.write(json.dumps({
-                    "model_id": r.model_id, "eval_length": r.eval_length,
-                    "ppl": r.ppl, "recon_acc": r.recon_acc,
-                    "n_sequences": r.n_sequences,
-                    "n_scored_tokens": r.n_scored_tokens,
-                    "mean_nll": r.mean_nll, "supported": r.supported,
-                }) + "\n")
+                f.write(json.dumps(asdict(r)) + "\n")
 
 
 def length_sweep(models, records, lengths, *,

@@ -6,12 +6,12 @@ Everything here is a pure function over its inputs.
 from __future__ import annotations
 
 import gzip
-import io
 import math
+import numbers
 import os
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,13 +46,13 @@ class WindowSet:
     windows: list[str]
     window_len: int
     source_stats: SourceStats
-    origins: list[tuple[str, int]] = field(default_factory=list)
+    origins: list[tuple[str, int]]
 
     def __len__(self) -> int:
         return len(self.windows)
 
 
-_CHUNK = 1 << 17  # bytes (or characters of a text stream) read per call
+_CHUNK = 1 << 17  # bytes read per call
 _LINE_ENDS = b"\r\n"
 _LETTERS = string.ascii_letters.encode("ascii")
 # uppercases ASCII letters and keeps every other byte
@@ -61,13 +61,11 @@ _UPPER = bytes.maketrans(string.ascii_lowercase.encode("ascii"),
 
 
 def _line_blocks(stream):
-    """Yield a stream's bytes in blocks of whole lines; a text stream is
-    UTF-8 encoded first. No block ends between the \\r and \\n of one
-    line end, so every block starts a line."""
+    """Yield a binary stream's bytes in blocks of whole lines. No block
+    ends between the \\r and \\n of one line end, so every block starts
+    a line."""
     pending: list[bytes] = []  # pieces of a line that spans chunks
     while chunk := stream.read(_CHUNK):
-        if isinstance(chunk, str):
-            chunk = chunk.encode("utf-8", "surrogatepass")
         cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, len(chunk) - 1)) + 1
         if cut == 0:
             pending.append(chunk)
@@ -95,21 +93,19 @@ def _line_end(data: bytes, pos: int) -> int:
 
 
 def parse_fasta(source) -> list[FastaRecord]:
-    """Parse FASTA from a path or stream into records, in file order.
+    """Parse FASTA from a path or binary stream into records, in file order.
 
     Lines end at \\n, \\r\\n or a lone \\r; blank lines are skipped.
     Wrapped sequence lines are concatenated and uppercased (soft-masked
     lowercase is information-free over a 4-letter alphabet). Sequence data
     before any header, an empty header, a non-letter character inside a
-    sequence line, or a non-ASCII byte in a binary source raises
-    MalformedFastaError with the line number.
+    sequence line, or a non-ASCII byte raises MalformedFastaError with the
+    line number.
     """
     if isinstance(source, (str, os.PathLike)):
         path = os.fspath(source)
         with (gzip.open if path.endswith(".gz") else open)(path, "rb") as stream:
             return parse_fasta(stream)
-    text = isinstance(source, io.TextIOBase)
-    codec = ("utf-8", "surrogatepass") if text else ("ascii", "strict")
     records: list[FastaRecord] = []
     header: str | None = None
     parts: list[str] = []
@@ -135,9 +131,6 @@ def parse_fasta(source) -> list[FastaRecord]:
                     bad = pos + re.search(rb"[^A-Za-z\r\n]", data[pos:h]).start()
                     if data[bad] < 0x80:
                         what = f"invalid character {chr(data[bad])!r}"
-                    elif text:
-                        char = data[bad:_line_end(data, bad)].decode(*codec)[0]
-                        what = f"invalid character {char!r}"
                     else:
                         what = f"non-ASCII byte {data[bad]:#04x}"
                     raise error(f"{what} in sequence", bad)
@@ -148,7 +141,7 @@ def parse_fasta(source) -> list[FastaRecord]:
                 records.append(FastaRecord(header, "".join(parts)))
             pos = _line_end(data, h)
             try:
-                header = data[h + 1:pos].decode(*codec).strip()
+                header = data[h + 1:pos].decode("ascii").strip()
             except UnicodeDecodeError as exc:
                 bad = h + 1 + exc.start
                 raise error(f"non-ASCII byte {data[bad]:#04x} in header", bad) from None
@@ -229,7 +222,12 @@ def _subset(ws: WindowSet, idx) -> WindowSet:
     stats = SourceStats(ws.source_stats.total_bp_read, len(idx),
                         ws.source_stats.windows_dropped_ambiguous)
     return WindowSet([ws.windows[i] for i in idx], ws.window_len, stats,
-                     [ws.origins[i] for i in idx] if ws.origins else [])
+                     [ws.origins[i] for i in idx])
+
+
+def _check_seed(seed) -> None:
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def split_train_eval(windows: WindowSet, eval_fraction: float,
@@ -238,6 +236,7 @@ def split_train_eval(windows: WindowSet, eval_fraction: float,
     windows go to eval and the rest to train."""
     if not 0.0 <= eval_fraction < 1.0:
         raise ValueError(f"eval_fraction must be in [0, 1), got {eval_fraction}")
+    _check_seed(seed)
     n = len(windows)
     perm = np.random.default_rng(seed).permutation(n)
     n_eval = math.ceil(n * eval_fraction)
@@ -246,9 +245,7 @@ def split_train_eval(windows: WindowSet, eval_fraction: float,
 
 def split_by_source(windows: WindowSet, eval_headers) -> tuple[WindowSet, WindowSet]:
     """Held-out-source split: windows whose origin header is listed go to
-    eval, everything else to train. Requires origin tracking."""
-    if len(windows.origins) != len(windows.windows):
-        raise ValueError("window set lacks origin tracking; cannot split by source")
+    eval, everything else to train."""
     held = set(eval_headers)
     eval_idx = [i for i, (hdr, _) in enumerate(windows.origins) if hdr in held]
     train_idx = [i for i, (hdr, _) in enumerate(windows.origins) if hdr not in held]
@@ -269,11 +266,15 @@ def markov_chain(seed: int, markov_order: int, sharpness: float) -> np.ndarray:
     """
     if markov_order < 0:
         raise ValueError(f"markov_order must be >= 0, got {markov_order}")
-    if sharpness < 0:
-        raise ValueError(f"sharpness must be >= 0, got {sharpness}")
+    if not (math.isfinite(sharpness) and sharpness >= 0):
+        raise ValueError(f"sharpness must be a finite number >= 0, got {sharpness!r}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
-    logits = sharpness * rng.standard_normal((4 ** markov_order, 4))
-    logits -= logits.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # -inf after the shift is probability 0
+        logits = sharpness * rng.standard_normal((4 ** markov_order, 4))
+        if not np.isfinite(logits).all():
+            raise ValueError(f"sharpness {sharpness!r} overflows the chain's logits")
+        logits -= logits.max(axis=1, keepdims=True)
     rows = np.exp(logits)
     rows /= rows.sum(axis=1, keepdims=True)
     return rows

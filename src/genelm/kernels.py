@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import GenelmError, ShapeError
+from .errors import ShapeError
 
 _GRAD_ENABLED = True
 
@@ -555,27 +555,19 @@ def backward(loss: Tensor) -> None:
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
 
-    # iterative postorder with cycle detection (gray = on the current path)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[int, int] = {}
+    # iterative postorder; a node's parents exist before it, so the graph
+    # has no cycle
+    seen: set[int] = set()
     order: list[Tensor] = []
-    stack = [loss]
+    stack = [(loss, False)]
     while stack:
-        node = stack[-1]
-        c = color.get(id(node), WHITE)
-        if c == WHITE:
-            color[id(node)] = GRAY
-            for p in node._parents:
-                pc = color.get(id(p), WHITE)
-                if pc == GRAY:
-                    raise GenelmError("cycle detected in compute graph")
-                if pc == WHITE:
-                    stack.append(p)
-        else:
-            stack.pop()
-            if c == GRAY:
-                color[id(node)] = BLACK
-                order.append(node)
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents if id(p) not in seen)
 
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):

@@ -55,9 +55,6 @@ class ModelConfig:
     def head_dim(self) -> int:
         return self.hidden // self.n_heads
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass
 class LayerParams:
@@ -72,25 +69,15 @@ class LayerParams:
     w3: Tensor
 
 
-_LAYER_FIELDS = ("attn_norm_gain", "wq", "wk", "wv", "wo",
-                 "ffn_norm_gain", "w1", "w2", "w3")
-
-
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
     """Name -> shape map in the canonical (checkpoint payload) order."""
     h, f, v = cfg.hidden, cfg.ffn_dim, cfg.vocab_size
+    layer = {"attn_norm_gain": (h,), "wq": (h, h), "wk": (h, h), "wv": (h, h),
+             "wo": (h, h), "ffn_norm_gain": (h,), "w1": (h, f), "w2": (f, h),
+             "w3": (h, f)}
     shapes: dict[str, tuple] = {"token_embedding": (v, h)}
     for i in range(cfg.n_layers):
-        p = f"layers.{i}."
-        shapes[p + "attn_norm_gain"] = (h,)
-        shapes[p + "wq"] = (h, h)
-        shapes[p + "wk"] = (h, h)
-        shapes[p + "wv"] = (h, h)
-        shapes[p + "wo"] = (h, h)
-        shapes[p + "ffn_norm_gain"] = (h,)
-        shapes[p + "w1"] = (h, f)
-        shapes[p + "w2"] = (f, h)
-        shapes[p + "w3"] = (h, f)
+        shapes.update({f"layers.{i}.{n}": s for n, s in layer.items()})
     shapes["final_norm_gain"] = (h,)
     if not cfg.tie_embeddings:
         shapes["lm_head"] = (h, v)
@@ -100,22 +87,17 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
 INIT_STD = 0.02
 
 
-def init_params(cfg: ModelConfig, seed: int = 0,
-                dtype=np.float32) -> dict[str, Tensor]:
+def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
     """Gaussian(0, 0.02) matrices, unit gains; deterministic in the seed."""
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
     for name, shape in param_shapes(cfg).items():
         if name.endswith("norm_gain"):
-            data = np.ones(shape, dtype=dtype)
+            data = np.ones(shape, dtype=np.float32)
         else:
-            data = (INIT_STD * rng.standard_normal(shape)).astype(dtype)
+            data = (INIT_STD * rng.standard_normal(shape)).astype(np.float32)
         params[name] = Tensor(data, requires_grad=True)
     return params
-
-
-def param_count(cfg: ModelConfig) -> int:
-    return sum(int(np.prod(s)) for s in param_shapes(cfg).values())
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +176,8 @@ class LanguageModel:
         self.config = config
         self.params = params
         self.layers = [
-            LayerParams(**{f: params[f"layers.{i}.{f}"] for f in _LAYER_FIELDS})
+            LayerParams(**{f.name: params[f"layers.{i}.{f.name}"]
+                           for f in fields(LayerParams)})
             for i in range(config.n_layers)
         ]
         self._angles: tuple[np.ndarray, np.ndarray] | None = None

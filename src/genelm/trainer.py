@@ -15,7 +15,7 @@ import numbers
 import os
 import time
 import zlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -69,9 +69,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.schedule not in ("cosine", "linear"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def finetune_config(total_iters: int, *, batch_size: int = 8,
@@ -209,8 +206,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str | os.PathLike) -> None:
                          for n in names)
     payload = b"".join(blobs)
     header = {
-        "model_config": ckpt.model_config.to_dict(),
-        "train_config": ckpt.train_config.to_dict(),
+        "model_config": asdict(ckpt.model_config),
+        "train_config": asdict(ckpt.train_config),
         "step": ckpt.step,
         "stage": ckpt.stage,
         "data_seed": ckpt.data_seed,
@@ -438,8 +435,9 @@ def train_stage(model_config: ModelConfig, train_config: TrainConfig,
                         params[n].grad += p.grad
                         p.grad.fill(0)
             loss_val = float(np.float32(sum(shares)))
-            if math.isnan(loss_val):
-                raise TrainingDivergedError("NaN loss", i + 1)
+            if not math.isfinite(loss_val):
+                raise TrainingDivergedError(
+                    "NaN loss" if math.isnan(loss_val) else "infinite loss", i + 1)
             norm = optimizer_step(None, params, state, i + 1, train_config)
             row = {
                 "step": i + 1,
@@ -509,6 +507,5 @@ def extend_context(ckpt: Checkpoint, new_context_len: int,
                    ) -> tuple[Checkpoint, list[dict]]:
     """Continue pretraining at a longer context length."""
     prep = prepare_extension(ckpt, new_context_len, new_rope_base)
-    prep = replace(prep, train_config=extension_config)
     return train_stage(prep.model_config, extension_config, data,
                        start=prep, log_path=log_path)

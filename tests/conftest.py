@@ -3,6 +3,8 @@ import pytest
 from hypothesis import strategies as st
 
 from genelm import kernels as K
+from genelm import trainer as TR
+from genelm.model import LanguageModel
 
 ACCEPTANCE_RESULTS = []
 
@@ -90,3 +92,18 @@ def mutated(draw, valid: bytes) -> bytes:
         elif edit == "cut":
             del data[at:]
     return bytes(data)
+
+
+def infinite_loss_checkpoint(cfg, train_config) -> TR.Checkpoint:
+    """A step-0 checkpoint whose float32 loss is infinite on any batch with
+    a C target (id 3), while its gradients stay finite: every block adds
+    zero, so each hidden state is the unit-RMS all-ones embedding, and
+    the LM head puts logit 2e38 on A (id 2) and -2e38 on C."""
+    params = {n: p.data for n, p in LanguageModel.init(cfg).named_params().items()}
+    for name, a in params.items():
+        if name.rsplit(".", 1)[-1] in ("wq", "wk", "wv", "wo", "w1", "w2", "w3"):
+            a[...] = 0
+    params["token_embedding"][...] = 1
+    params["lm_head"][:, 2] = 2e38 / cfg.hidden
+    params["lm_head"][:, 3] = -2e38 / cfg.hidden
+    return TR.Checkpoint(cfg, train_config, params, None, step=0, stage=0, data_seed=0)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from pathlib import Path
 
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import infinite_loss_checkpoint
 from genelm import cli
 from genelm import tokenizer as T
 from genelm import trainer as TR
 from genelm.errors import CheckpointFormatError, GenelmError
+from genelm.model import ModelConfig
 
 DATA = Path(__file__).parent / "data"
 
@@ -173,6 +176,33 @@ class TestPrepare:
         for name in ("train.tokens", "eval.tokens", "stats.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--synthetic", "length=5000", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+        (["--synthetic", "length=5000", "seed=-1"], "seed must be an integer >= 0, got -1"),
+        (["--synthetic", "length=abc"], "--synthetic length must be an integer, got 'abc'"),
+        (["--synthetic", "length=5000", "sharpness=x"],
+         "--synthetic sharpness must be a number, got 'x'"),
+        (["--synthetic", "length=5000", "lenght=5"], "--synthetic has no key 'lenght'"),
+        (["--synthetic", "length=5000", "sharpness=nan"],
+         "sharpness must be a finite number >= 0, got nan"),
+        (["--synthetic", "length=5000", "sharpness=inf"],
+         "sharpness must be a finite number >= 0, got inf"),
+    ])
+    def test_bad_synthetic_spec_or_seed_exits_2_naming_it(self, tmp_path, capsys, argv,
+                                                           message):
+        rc = run(["prepare", *argv, "--window-len", "64", "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_with_fasta_exits_2(self, tmp_path, capsys):
+        fa = tmp_path / "in.fa"
+        fa.write_text(">c\n" + "ACGT" * 32 + "\n")
+        rc = run(["prepare", "--fasta", str(fa), "--window-len", "16", "--seed", "-1",
+                  "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
     def test_both_inputs_rejected(self, tmp_path, capsys):
         rc = run(["prepare", "--fasta", "x.fa", "--synthetic", "length=10",
                   "--window-len", "4", "--out-dir", str(tmp_path)])
@@ -308,6 +338,22 @@ class TestUsageErrors:
                   "--lr-min", "2e-4", "--init-from", str(bad), "--out-dir", str(tmp_path / "t")])
         assert rc == 2
         assert f"{key} must be an integer >= 0, got {value}" in capsys.readouterr().err
+
+    def test_probe_negative_seed_exits_2_naming_it(self, prepared, tmp_path, rng, capsys):
+        tsv = tmp_path / "d.tsv"
+        write_dataset(tsv, rng)
+        rc = run(["probe", "--checkpoint", str(prepared / "run" / "checkpoint.bin"),
+                  "--train-dataset", str(tsv), "--test-dataset", str(tsv), "--seed", "-1",
+                  "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
+    def test_sweep_non_integer_length_exits_2_naming_the_flag(self, prepared, tmp_path, capsys):
+        rc = run(["sweep", "--checkpoints", str(prepared / "run" / "checkpoint.bin"),
+                  "--synthetic", "length=2000", "--lengths", "8,x",
+                  "--out-dir", str(tmp_path / "sw")])
+        assert rc == 2
+        assert "--lengths takes comma-separated integers, got '8,x'" in capsys.readouterr().err
 
     def test_probe_on_multilabel_dataset_exits_2(self, prepared, tmp_path, rng, capsys):
         tsv = tmp_path / "ml.tsv"
@@ -488,6 +534,32 @@ class TestPipelines:
                   "--out-dir", str(tmp_path / "blow")])
         assert rc == 1
         assert "diverged" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_infinite_loss_exits_1(self, prepared, tmp_path, capsys):
+        cfg = ModelConfig(hidden=32, n_layers=1, n_heads=2, ffn_dim=48, max_seq_len=64)
+        init = tmp_path / "inf.bin"
+        TR.save_checkpoint(infinite_loss_checkpoint(cfg, TR.TrainConfig()), init)
+        rc = run(["train", "--shards", str(prepared / "data" / "train.tokens"),
+                  "--hidden", "32", "--n-layers", "1", "--n-heads", "2",
+                  "--ffn-dim", "48", "--context-len", "64", "--batch-size", "4",
+                  "--total-iters", "3", "--warmup-iters", "0", "--init-from", str(init),
+                  "--out-dir", str(tmp_path / "t")])
+        assert rc == 1
+        assert "training diverged: step 1: infinite loss" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_eval_ppl_of_an_overflowing_model_is_inf(self, prepared, tmp_path, capsys):
+        # its mean NLL is ~1e38 nats, where math.exp raised OverflowError
+        cfg = ModelConfig(hidden=32, n_layers=1, n_heads=2, ffn_dim=48, max_seq_len=64)
+        ckpt = tmp_path / "inf.bin"
+        TR.save_checkpoint(infinite_loss_checkpoint(cfg, TR.TrainConfig()), ckpt)
+        rc = run(["eval-ppl", "--checkpoint", str(ckpt),
+                  "--shards", str(prepared / "data" / "eval.tokens"),
+                  "--out", str(tmp_path / "ppl.jsonl")])
+        assert rc == 0
+        assert "ppl=inf " in capsys.readouterr().out
+        assert json.loads((tmp_path / "ppl.jsonl").read_text())["ppl"] == math.inf
 
     def test_finetune_head_only_keeps_backbone(self, prepared, tmp_path, rng):
         train_tsv, test_tsv = tmp_path / "tr.tsv", tmp_path / "te.tsv"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from conftest import check_grad
 from genelm import kernels as K
 from genelm.errors import ContextOverflowError
 from genelm.model import (LanguageModel, LayerParams, ModelConfig,
-                          attention_block, ffn_block, init_params, param_count,
+                          attention_block, ffn_block, init_params,
                           param_shapes, rope_angles, rope_apply)
 from genelm.tokenizer import next_token_targets
 
@@ -196,7 +197,7 @@ class TestForward:
     def test_rotary_tables_follow_the_input_not_the_context(self, rng):
         # a checkpoint header may declare any context length; scoring two
         # tokens must not build tables for all of it
-        huge = LanguageModel.init(ModelConfig(**{**TINY.to_dict(), "max_seq_len": 2**40}))
+        huge = LanguageModel.init(dataclasses.replace(TINY, max_seq_len=2**40))
         tokens = rng.integers(0, 6, size=9)
         assert np.array_equal(huge.logits(tokens), tiny_model().logits(tokens))
         assert len(huge._angles[0]) == 9
@@ -231,7 +232,7 @@ class TestForward:
                           ffn_dim=352, max_seq_len=512)
         h, f, v, L = 128, 352, 6, 4
         expected = v * h + L * (4 * h * h + 3 * h * f + 2 * h) + h + h * v
-        assert param_count(cfg) == expected
+        assert sum(math.prod(s) for s in param_shapes(cfg).values()) == expected
         params = LanguageModel.init(cfg, 0).named_params()
         assert sum(p.data.size for p in params.values()) == expected
 
@@ -253,7 +254,7 @@ class TestForward:
     def test_rope_base_changes_logits_only_beyond_t1(self, rng):
         params = init_params(TINY, seed=5)
         a = LanguageModel(TINY, params)
-        cfg2 = ModelConfig(**{**TINY.to_dict(), "rope_base": 1.6e5})
+        cfg2 = dataclasses.replace(TINY, rope_base=1.6e5)
         b = LanguageModel(cfg2, params)
         one = rng.integers(0, 6, size=1)
         assert np.array_equal(a.logits(one), b.logits(one))

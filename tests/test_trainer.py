@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mutated
+from conftest import infinite_loss_checkpoint, mutated
 from genelm import evaluator as E
 from genelm import kernels as K
 from genelm import tokenizer as T
@@ -412,6 +412,13 @@ class TestTrainStage:
         _, rows_a = TR.train_stage(SMALL, cfg, data, data_seed=5, init_seed=5)
         _, rows_b = TR.train_stage(SMALL, cfg, data, data_seed=5, init_seed=5)
         assert [r["loss"] for r in rows_a] == [r["loss"] for r in rows_b]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_infinite_loss_diverges(self, rng):
+        cfg = TR.TrainConfig(batch_size=4, total_iters=3, warmup_iters=0)
+        ckpt = infinite_loss_checkpoint(SMALL, cfg)
+        with pytest.raises(TrainingDivergedError, match="step 1: infinite loss"):
+            TR.train_stage(SMALL, cfg, small_shard(rng), start=ckpt)
 
     def test_windows_shorter_than_context_rejected(self, rng):
         data = small_shard(rng, width=16)
