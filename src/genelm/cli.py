@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -102,13 +103,27 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def _naming(names: dict[str, str], fn, **kwargs):
+    """fn(**kwargs), whose ValueError names each keyword as the command line
+    spells it: names[keyword], else the keyword's long flag."""
+    try:
+        return fn(**kwargs)
+    except ValueError as exc:
+        flags = {k: names.get(k, "--" + k.replace("_", "-")) for k in kwargs}
+        message = re.sub(r"\b(" + "|".join(flags) + r")\b", lambda m: flags[m[0]], str(exc))
+        raise GenelmError(message) from None
+
+
 def _parse_synthetic(spec_parts: list[str], seed: int) -> G.FastaRecord:
     spec = {"markov_order": "0", "sharpness": "0", "seed": str(seed)}
+    names = {}  # errors name each typed key as "--synthetic key"; --seed's seed as --seed
     for part in spec_parts:
         if "=" not in part:
             raise GenelmError(f"--synthetic takes key=value pairs, got {part!r}")
         key, value = part.split("=", 1)
-        spec[key.replace("-", "_")] = value
+        key = key.replace("-", "_")
+        spec[key] = value
+        names[key] = f"--synthetic {key}"
     if "length" not in spec:
         raise GenelmError("--synthetic needs length=<bp>")
     kinds = {"seed": int, "length": int, "markov_order": int, "sharpness": float}
@@ -122,7 +137,7 @@ def _parse_synthetic(spec_parts: list[str], seed: int) -> G.FastaRecord:
             raise GenelmError(f"--synthetic {key} must be "
                               f"{'an integer' if kinds[key] is int else 'a number'}, "
                               f"got {value!r}") from None
-    return G.generate_synthetic_genome(**values)
+    return _naming(names, G.generate_synthetic_genome, **values)
 
 
 def _load_records(args) -> list[G.FastaRecord]:
@@ -167,16 +182,17 @@ def cmd_prepare(args) -> int:
 
 
 def _model_config(args) -> ModelConfig:
-    return ModelConfig(hidden=args.hidden, n_layers=args.n_layers,
-                       n_heads=args.n_heads, ffn_dim=args.ffn_dim,
-                       max_seq_len=args.context_len, rope_base=args.rope_base)
+    return _naming({"max_seq_len": "--context-len"}, ModelConfig,
+                   hidden=args.hidden, n_layers=args.n_layers, n_heads=args.n_heads,
+                   ffn_dim=args.ffn_dim, max_seq_len=args.context_len,
+                   rope_base=args.rope_base)
 
 
 def _train_config(args) -> TR.TrainConfig:
-    return TR.TrainConfig(batch_size=args.batch_size, lr_peak=args.lr_peak,
-                          lr_min=args.lr_min, warmup_iters=args.warmup_iters,
-                          total_iters=args.total_iters, seed=args.seed,
-                          weight_decay=args.weight_decay)
+    return _naming({}, TR.TrainConfig, batch_size=args.batch_size, lr_peak=args.lr_peak,
+                   lr_min=args.lr_min, warmup_iters=args.warmup_iters,
+                   total_iters=args.total_iters, seed=args.seed,
+                   weight_decay=args.weight_decay)
 
 
 def cmd_train(args) -> int:
@@ -458,6 +474,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (GenelmError, ValueError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"{PROG}: error: the run ran out of memory; smaller sizes (model width, "
+              "context, batch, genome) need less", file=sys.stderr)
         return 2
 
 

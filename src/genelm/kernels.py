@@ -10,9 +10,11 @@ float64 arrays yields a float64 graph (used by tests that want a
 high-precision oracle).
 
 Inside `cores()`, OpenBLAS runs one thread and `over` splits work over a
-thread pool instead, with bit-identical results: attention splits its heads,
-and training splits its batch (`trainer.train_stage`). Long sequences and
-training halves (`cores_for`) use it, short ones keep OpenBLAS's own threads.
+thread pool instead, with bit-identical results: every row-wise op splits its
+rows (each slice writes its part of a preallocated output), attention splits
+its heads, and training splits its batch (`trainer.train_stage`). Long
+sequences and training halves (`cores_for`) use it, short ones keep
+OpenBLAS's own threads.
 """
 
 from __future__ import annotations
@@ -117,13 +119,18 @@ def cores_for(length: int):
     return cores() if length >= CORES_MIN_LEN else contextlib.nullcontext()
 
 
+def _splitting() -> bool:
+    """Inside `cores()` and not inside a slice of `over`."""
+    return _SPLIT > 1 and not getattr(_SLICE, "inside", False)
+
+
 def over(n: int, fn: Callable[[int, int], None]) -> None:
     """fn(lo, hi) over contiguous slices covering range(n): inside `cores()`
     one slice per pool thread and one on the calling thread, else the whole
     range at once. A call made from inside a slice runs serially, as a
     nested `cores()` does nothing, so it never waits on the pool it runs in."""
     k = min(_SPLIT, n)
-    if k <= 1 or getattr(_SLICE, "inside", False):
+    if k <= 1 or not _splitting():
         fn(0, n)
         return
 
@@ -174,11 +181,15 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], bwd: Callable) -> Tenso
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add g into t.grad. The first gradient becomes the buffer itself: every
+    backward rule passes an array that nothing else holds (`add` copies the
+    one it would share)."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = g.astype(t.data.dtype, copy=False)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -192,28 +203,60 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+def _split(fn: Callable, *arrays: np.ndarray, axis: int | None = None) -> None:
+    """fn(*arrays) at once, or inside `cores()` once per slice (`over`) on
+    that slice of every array: slices of `axis`, counted from the end as in
+    broadcasting, or by default of the rows, every axis but the last
+    flattened, for which the outputs among the arrays must be C-contiguous."""
+    if not _splitting():
+        fn(*arrays)
+        return
+    if axis is None:
+        arrays, axis = [a.reshape(-1, a.shape[-1]) for a in arrays], -2
+    tail = (slice(None),) * (-axis - 1)
+    over(arrays[0].shape[axis],
+         lambda lo, hi: fn(*(a[(..., slice(lo, hi)) + tail] for a in arrays)))
+
+
+def _whole(fn: Callable, *arrays: np.ndarray) -> None:
+    fn(*arrays)
+
+
+def _ufunc(f: np.ufunc, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """f(x, y), split over rows inside `cores()` when x and y have one shape."""
+    if x.shape != y.shape or x.ndim == 0 or not _splitting():
+        return f(x, y)
+    out = np.empty(x.shape, np.result_type(x, y))
+    _split(lambda xs, ys, outs: f(xs, ys, out=outs), x, y, out)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # elementwise / structural ops
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data + b.data
+    out = _ufunc(np.add, a.data, b.data)
 
     def bwd(g):
-        for t in (a, b):
-            if t.requires_grad:
-                _accum(t, _unbroadcast(g, t.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            gb = _unbroadcast(g, b.data.shape)
+            if a.grad is not None and np.shares_memory(a.grad, gb):
+                gb = gb.copy()  # a kept g as its gradient
+            _accum(b, gb)
 
     return _result(out, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
+    out = _ufunc(np.multiply, a.data, b.data)
 
     def bwd(g):
         for t, other in ((a, b), (b, a)):
             if t.requires_grad:
-                _accum(t, _unbroadcast(g * other.data, t.data.shape))
+                _accum(t, _unbroadcast(_ufunc(np.multiply, g, other.data), t.data.shape))
 
     return _result(out, (a, b), bwd)
 
@@ -227,12 +270,22 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
     return _result(out, (a,), bwd)
 
 
+def _contiguous(view: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of view, split over its second axis (a head
+    transpose's heads one way, its positions the other)."""
+    if view.ndim < 2:
+        return np.ascontiguousarray(view)
+    out = np.empty(view.shape, view.dtype)
+    _split(np.copyto, out, view, axis=1 - view.ndim)
+    return out
+
+
 def transpose(a: Tensor, axes: tuple) -> Tensor:
-    out = np.ascontiguousarray(a.data.transpose(axes))
+    out = _contiguous(a.data.transpose(axes))
     inverse = np.argsort(axes)
 
     def bwd(g):
-        _accum(a, g.transpose(inverse))
+        _accum(a, _contiguous(g.transpose(inverse)))
 
     return _result(out, (a,), bwd)
 
@@ -256,14 +309,15 @@ def sum_all(a: Tensor) -> Tensor:
     return _result(out, (a,), bwd)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid of x in x's dtype, without overflow for any input."""
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic sigmoid of x in x's dtype (into `out` if given), without
+    overflow for any input."""
     z = np.abs(x)
     np.negative(z, out=z)
     np.exp(z, out=z)
     # sigmoid(x) is 1 / (1 + z) for x >= 0 and z / (1 + z) below; z <= 1 for
     # x >= 0, so the max picks the numerator, and a NaN propagates
-    sig = np.maximum(z, x >= 0, dtype=x.dtype)
+    sig = np.maximum(z, x >= 0, out=out, dtype=x.dtype)
     z += 1.0
     sig /= z
     return sig
@@ -271,15 +325,23 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def silu(a: Tensor) -> Tensor:
     x = a.data
-    sig = _sigmoid(x)
-    out = x * sig
+    sig = np.empty(x.shape, x.dtype)
+    _split(lambda xs, sigs: _sigmoid(xs, out=sigs), x, sig)
+    # made after the sigmoid's temporaries are freed: allocating it before
+    # them took about 20 % more page faults per scored 256-token sequence
+    out = _ufunc(np.multiply, x, sig)
 
     def bwd(g):
-        d = 1.0 - sig
-        d *= x
-        d += 1.0
-        d *= sig
-        d *= g
+        d = np.empty(x.shape, x.dtype)
+
+        def backward(ds, sigs, xs, gs):
+            np.subtract(1.0, sigs, out=ds)
+            ds *= xs
+            ds += 1.0
+            ds *= sigs
+            ds *= gs
+
+        _split(backward, d, sig, x, g)
         _accum(a, d)
 
     return _result(out, (a,), bwd)
@@ -306,23 +368,38 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 # matmul
 # ---------------------------------------------------------------------------
 
+# Weight dims from which `matmul` splits: with one OpenBLAS thread, 2, 3 or 4
+# row slices of the forward and dX GEMMs and of dW's own rows matched the
+# whole GEMM bitwise for weights 64x64 up to 704x256 at 1024-4096 rows, while
+# the 128->6 and 256->6 LM heads and dW of 16- to 32-wide weights did not.
+GEMM_SPLIT_MIN = 64
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(..., k) @ (k, n): a stack of rows times a weight matrix, as one GEMM."""
+    """(..., k) @ (k, n): a stack of rows times a weight matrix. Inside
+    `cores()` a weight of at least GEMM_SPLIT_MIN in both dims splits the
+    rows of each GEMM, dW over its own rows, so that every element still
+    reduces over all rows; a smaller one stays one GEMM."""
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim != 2 or ad.shape[-1] != bd.shape[0]:
         raise ShapeError(f"matmul needs (..., k) @ (k, n), got {ad.shape} @ {bd.shape}")
-    lead = ad.shape[:-1]
-    a2 = ad.reshape(-1, ad.shape[-1])
-    out = (a2 @ bd).reshape(*lead, bd.shape[1])
+    split = _split if min(bd.shape) >= GEMM_SPLIT_MIN else _whole
+    a2 = ad.reshape(-1, ad.shape[-1])  # one GEMM over the stack of rows
+    out = np.empty((len(a2), bd.shape[1]), np.result_type(ad, bd))
+    split(lambda rows, o: np.matmul(rows, bd, out=o), a2, out)
 
     def bwd(g):
         g2 = g.reshape(-1, bd.shape[1])
         if a.requires_grad:
-            _accum(a, (g2 @ bd.T).reshape(ad.shape))
+            da = np.empty(a2.shape, np.result_type(g, bd))
+            split(lambda rows, o: np.matmul(rows, bd.T, out=o), g2, da)
+            _accum(a, da.reshape(ad.shape))
         if b.requires_grad:
-            _accum(b, a2.T @ g2)
+            db = np.empty(bd.shape, np.result_type(ad, g))
+            split(lambda cols, o: np.matmul(cols, g2, out=o), a2.T, db)
+            _accum(b, db)
 
-    return _result(out, (a, b), bwd)
+    return _result(out.reshape(*ad.shape[:-1], bd.shape[1]), (a, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -333,19 +410,35 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
     """y = x / sqrt(mean(x^2) + eps) * gain over the trailing axis."""
     if eps <= 0:
         raise ValueError("rmsnorm eps must be positive")
-    xd = x.data
+    xd, gd = x.data, gain.data
     d = xd.shape[-1]
-    ms = np.mean(np.square(xd), axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(ms + eps)
-    out = xd * inv * gain.data
+    inv = np.empty((*xd.shape[:-1], 1), xd.dtype)
+    out = np.empty(xd.shape, np.result_type(xd, gd))
+
+    def forward(xs, invs, outs):
+        ms = np.mean(np.square(xs), axis=-1, keepdims=True)
+        np.divide(1.0, np.sqrt(ms + eps), out=invs)
+        np.multiply(xs, invs, out=outs)
+        outs *= gd
+
+    _split(forward, xd, inv, out)
 
     def bwd(g):
-        gg = g * gain.data
         if x.requires_grad:
-            dot = np.sum(gg * xd, axis=-1, keepdims=True)
-            _accum(x, inv * gg - xd * (inv ** 3) * (dot / d))
+            dx = np.empty(xd.shape, np.result_type(g, xd, gd))
+
+            def backward(gs, xs, invs, dxs):
+                gg = gs * gd
+                dot = np.sum(gg * xs, axis=-1, keepdims=True)
+                np.subtract(invs * gg, xs * (invs ** 3) * (dot / d), out=dxs)
+
+            _split(backward, g, xd, inv, dx)
+            _accum(x, dx)
         if gain.requires_grad:
-            contrib = g * xd * inv
+            # rows of the product split, its one column sum whole
+            contrib = np.empty(xd.shape, np.result_type(g, xd))
+            _split(lambda gs, xs, invs, cs: np.multiply(gs * xs, invs, out=cs),
+                   g, xd, inv, contrib)
             _accum(gain, contrib.reshape(-1, d).sum(axis=0))
 
     return _result(out, (x, gain), bwd)
@@ -356,11 +449,15 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    xe = x[..., 0::2]
-    xo = x[..., 1::2]
+    """x rotated by the angles, split over positions (axis -2)."""
     out = np.empty_like(x)
-    out[..., 0::2] = xe * cos - xo * sin
-    out[..., 1::2] = xe * sin + xo * cos
+
+    def rotate(xs, c, s, outs):
+        xe, xo = xs[..., 0::2], xs[..., 1::2]
+        outs[..., 0::2] = xe * c - xo * s
+        outs[..., 1::2] = xe * s + xo * c
+
+    _split(rotate, x, cos, sin, out, axis=-2)
     return out
 
 
@@ -421,7 +518,9 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, head_scale: float) -> Tens
             f"attention operands disagree: {q.data.shape}, {k.data.shape}, {v.data.shape}")
     B, H, t, d = q.data.shape
     n = B * H
-    q2 = np.ascontiguousarray(q.data.reshape(n, t, d) * q.data.dtype.type(head_scale))
+    scale = q.data.dtype.type(head_scale)
+    q1 = q.data.reshape(n, t, d)
+    q2 = np.empty(q1.shape, q1.dtype)  # q * head_scale, filled head slice by head slice
     k2 = np.ascontiguousarray(k.data.reshape(n, t, d))
     v2 = np.ascontiguousarray(v.data.reshape(n, t, d))
     k_t = k2.transpose(0, 2, 1)
@@ -431,6 +530,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, head_scale: float) -> Tens
     lse = np.empty((n, t), dtype=q2.dtype)
 
     def forward(h0, h1):
+        np.multiply(q1[h0:h1], scale, out=q2[h0:h1])
         for i0, i1 in blocks:
             e = _block_scores(q2[h0:h1, i0:i1], k_t[h0:h1], i0, i1)
             m = e.max(axis=-1, keepdims=True)
@@ -466,7 +566,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, head_scale: float) -> Tens
                 dk[h0:h1, :i1] += np.matmul(ds.transpose(0, 2, 1), qh[:, i0:i1])
 
         over(n, backward_heads)
-        dq *= q2.dtype.type(head_scale)
+        dq *= scale
         _accum(q, dq.reshape(B, H, t, d))
         _accum(k, dk.reshape(B, H, t, d))
         _accum(v, dv.reshape(B, H, t, d))

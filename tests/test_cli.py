@@ -187,6 +187,9 @@ class TestPrepare:
          "sharpness must be a finite number >= 0, got nan"),
         (["--synthetic", "length=5000", "sharpness=inf"],
          "sharpness must be a finite number >= 0, got inf"),
+        (["--synthetic", "length=0"], "--synthetic length must be >= 1, got 0"),
+        (["--synthetic", "length=5000", "markov-order=-1"],
+         "--synthetic markov_order must be >= 0, got -1"),
     ])
     def test_bad_synthetic_spec_or_seed_exits_2_naming_it(self, tmp_path, capsys, argv,
                                                            message):
@@ -312,7 +315,30 @@ class TestUsageErrors:
                   "--ffn-dim", "32", "--context-len", "64", "--total-iters", "3",
                   "--warmup-iters", "1", "--lr-peak", "nan", "--out-dir", str(tmp_path / "t")])
         assert rc == 2
-        assert "lr_peak must be a finite number" in capsys.readouterr().err
+        assert "--lr-peak must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--context-len", "1"], "--context-len must be >= 2, got 1"),
+        (["--hidden", "12", "--n-heads", "5"], "--hidden 12 not divisible by --n-heads 5"),
+        (["--warmup-iters", "9", "--total-iters", "3"], "--warmup-iters 9 exceeds --total-iters 3"),
+    ])
+    def test_bad_model_or_train_flag_exits_2_naming_the_flag(self, prepared, tmp_path, capsys,
+                                                            flags, message):
+        rc = run(["train", "--shards", str(prepared / "data" / "train.tokens"), *flags,
+                  "--out-dir", str(tmp_path / "t")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and "max_seq_len" not in err
+
+    def test_out_of_memory_exits_2(self, tmp_path, monkeypatch, capsys):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_prepare", exhausted)
+        rc = run(["prepare", "--synthetic", "length=100", "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "ran out of memory" in err and "Traceback" not in err
 
     def test_negative_seed_exits_2(self, prepared, tmp_path, capsys):
         rc = run(["train", "--shards", str(prepared / "data" / "train.tokens"),

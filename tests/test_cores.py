@@ -3,6 +3,7 @@ runs one thread, with results bitwise equal to the serial path."""
 
 import contextlib
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -26,6 +27,8 @@ needs_split = pytest.mark.skipif(
 TINY = ModelConfig(vocab_size=6, hidden=16, n_layers=2, n_heads=2, ffn_dim=24,
                    max_seq_len=1024)
 T = 1024
+# the desk model: its 128- and 352-wide GEMMs split their rows, TINY's stay whole
+DESK = dataclasses.replace(ModelConfig(), max_seq_len=T)
 
 
 def outputs(model, ids, scope):
@@ -40,6 +43,51 @@ def outputs(model, ids, scope):
         K.backward(loss)
     grads = {n: p.grad.copy() for n, p in model.params.items()}
     return logits, hidden, loss.data, grads
+
+
+def assert_scope_changes_no_output(cfg, rng, monkeypatch):
+    model = LanguageModel.init(cfg, seed=2)
+    ids = rng.integers(0, 6, size=T)
+    monkeypatch.setattr(K, "CORES_MIN_LEN", 10**9)  # the gate out of reach
+    serial = outputs(model, ids, contextlib.nullcontext())
+    split = outputs(model, ids, K.cores())
+    for a, b in zip(serial[:3], split[:3]):
+        assert np.array_equal(a, b)
+    for name, grad in serial[3].items():
+        assert np.array_equal(grad, split[3][name]), name
+
+
+def gemm(a, w, g):
+    """matmul's output and both gradients for a stack of rows a, weight w and
+    output gradient g."""
+    ta, tw = K.Tensor(a.copy(), requires_grad=True), K.Tensor(w.copy(), requires_grad=True)
+    out = K.matmul(ta, tw)
+    out._bwd(g)
+    return out.data, ta.grad, tw.grad
+
+
+def recording_over(monkeypatch):
+    """Patch K.over to record n of every call that splits, and return the list."""
+    splits = []
+    over = K.over
+
+    def recording(n, fn):
+        if K._splitting():
+            splits.append(n)
+        over(n, fn)
+
+    monkeypatch.setattr(K, "over", recording)
+    return splits
+
+
+def train_digest(cfg, tcfg, data):
+    """SHA-1 over the parameters and both Adam moments, and the losses."""
+    ckpt, rows = TR.train_stage(cfg, tcfg, data, init_seed=4)
+    digest = hashlib.sha1()
+    for part in (ckpt.params, *ckpt.moments):
+        for n in sorted(part):
+            digest.update(part[n].tobytes())
+    return digest.hexdigest(), [r["loss"] for r in rows]
 
 
 @contextlib.contextmanager
@@ -204,15 +252,10 @@ class TestBitIdentical:
             assert np.array_equal(x, y)
 
     def test_model_outputs_and_gradients(self, rng, monkeypatch):
-        model = LanguageModel.init(TINY, seed=2)
-        ids = rng.integers(0, 6, size=T)
-        monkeypatch.setattr(K, "CORES_MIN_LEN", 10**9)  # the gate out of reach
-        serial = outputs(model, ids, contextlib.nullcontext())
-        split = outputs(model, ids, K.cores())
-        for a, b in zip(serial[:3], split[:3]):
-            assert np.array_equal(a, b)
-        for name, grad in serial[3].items():
-            assert np.array_equal(grad, split[3][name]), name
+        assert_scope_changes_no_output(TINY, rng, monkeypatch)
+
+    def test_desk_model_outputs_and_gradients(self, rng, monkeypatch):
+        assert_scope_changes_no_output(DESK, rng, monkeypatch)
 
     def test_prefix_logits_stable_under_suffix_edit(self, rng):
         model = LanguageModel.init(TINY, seed=3)
@@ -244,6 +287,50 @@ class TestBitIdentical:
         assert [r["loss"] for r in rows] == [r["loss"] for r in rows_serial]
         for n in ckpt.params:
             assert np.array_equal(ckpt.params[n], ckpt_serial.params[n]), n
+
+    def test_train_stage_batch_of_one_with_and_without_the_scope(self, rng, monkeypatch):
+        """A batch of one at CORES_MIN_LEN tokens splits the rows of its ops;
+        parameters, both moments and losses equal the whole-op run's."""
+        data = rng.integers(2, 6, size=(3, T)).astype(np.uint8)
+        tcfg = TR.TrainConfig(batch_size=1, total_iters=3, warmup_iters=1,
+                              lr_peak=1e-3, lr_min=1e-4)
+        splits = recording_over(monkeypatch)
+        threaded = train_digest(DESK, tcfg, data)
+        assert splits or BLAS_THREADS < 2
+        monkeypatch.setattr(K, "cores", contextlib.nullcontext)
+        assert train_digest(DESK, tcfg, data) == threaded
+
+
+class TestRowSplit:
+    """matmul splits a GEMM only when both weight dims are >= GEMM_SPLIT_MIN;
+    smaller weights, the LM head among them, differ in the last bit when
+    their rows are split."""
+
+    @needs_split
+    @pytest.mark.parametrize("rows", [1024, 1100, 2048, 4096])
+    @pytest.mark.parametrize("k, n", [(64, 64), (128, 128), (128, 352), (352, 128),
+                                      (256, 256), (256, 704), (704, 256)])
+    def test_split_gemm_equals_the_whole_one(self, rng, monkeypatch, k, n, rows):
+        a = rng.standard_normal((1, rows, k)).astype(np.float32)
+        w = rng.standard_normal((k, n)).astype(np.float32)
+        g = rng.standard_normal((1, rows, n)).astype(np.float32)
+        splits = recording_over(monkeypatch)
+        with K.cores():  # one OpenBLAS thread for both
+            split = gemm(a, w, g)
+            monkeypatch.setattr(K, "_split", K._whole)
+            whole = gemm(a, w, g)
+        assert splits == [rows, rows, k]  # forward and dX over rows, dW over its rows
+        for x, y in zip(split, whole):
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("k, n", [(128, 6), (256, 6), (16, 24), (24, 16), (32, 32)])
+    def test_lm_head_and_narrow_weights_stay_whole(self, rng, monkeypatch, k, n):
+        assert min(k, n) < K.GEMM_SPLIT_MIN
+        splits = recording_over(monkeypatch)
+        with K.cores():
+            gemm(rng.standard_normal((2048, k)), rng.standard_normal((k, n)),
+                 rng.standard_normal((2048, n)))
+        assert splits == []
 
 
 # run(batch_size) trains windows of 128 tokens for 3 steps and returns the

@@ -259,6 +259,21 @@ class TestBackward:
         K.backward(K.sum_all(K.add(x, x)))
         assert np.array_equal(x.grad, np.array([2.0]))
 
+    def test_add_parents_get_their_own_gradient_buffers(self, rng):
+        """The first gradient a tensor receives becomes its buffer, so the
+        two parents of an add must not be handed one array."""
+        a, b = (K.Tensor(rng.standard_normal((2, 3)), requires_grad=True) for _ in range(2))
+        K.backward(K.sum_all(K.add(a, b)))
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad += 1.0
+        assert np.array_equal(b.grad, np.ones((2, 3)))
+
+    def test_first_gradient_takes_the_tensor_dtype(self, rng):
+        x = K.Tensor(rng.standard_normal(4).astype(np.float32), requires_grad=True)
+        K.backward(K.sum_all(K.mul(x, K.Tensor(np.full(4, 0.1)))))  # a float64 gradient
+        assert x.grad.dtype == np.float32
+        assert np.array_equal(x.grad, np.full(4, 0.1, dtype=np.float32))
+
     def test_unused_parameter_gets_no_gradient(self, rng):
         x = K.Tensor(rng.standard_normal(4), requires_grad=True)
         y = K.Tensor(rng.standard_normal(4), requires_grad=True)
