@@ -3,17 +3,18 @@
 Everything the model touches is a `Tensor`: a numpy array plus an optional
 node in a compute graph. Graphs are built per forward pass and freed during
 `backward`, so memory stays bounded for long sequences. Causal attention is
-tiled into blocks of BLOCK query rows and never forms the t x t matrix: its
-forward working set is O(B*H*BLOCK*t) and it keeps O(B*H*t*d) for the
-backward pass. All arithmetic is 32-bit by default; building a graph from
-float64 arrays yields a float64 graph (used by tests that want a
-high-precision oracle).
+tiled into blocks of BLOCK query rows for a group of heads and never forms
+the t x t matrix: its forward working set is one tile per thread
+(TILE_SCORES) and it keeps O(B*H*t*d) for the backward pass. Without a
+graph, `rows` runs a row-wise block over chunks of ROW_CHUNK rows at most.
+All arithmetic is 32-bit by default; building a graph from float64 arrays
+yields a float64 graph (used by tests that want a high-precision oracle).
 
 Inside `cores()`, OpenBLAS runs one thread and `over` splits work over a
 thread pool instead, with bit-identical results: every row-wise op splits its
-rows (each slice writes its part of a preallocated output), attention splits
-its heads, and training splits its batch (`trainer.train_stage`). Long
-sequences and training halves (`cores_for`) use it, short ones keep
+rows (each slice writes its part of a preallocated output), `rows` its
+chunks, attention its heads, and training its batch (`trainer.train_stage`).
+Long sequences and training halves (`cores_for`) use it, short ones keep
 OpenBLAS's own threads.
 """
 
@@ -220,6 +221,37 @@ def _split(fn: Callable, *arrays: np.ndarray, axis: int | None = None) -> None:
 
 def _whole(fn: Callable, *arrays: np.ndarray) -> None:
     fn(*arrays)
+
+
+# Rows per chunk, at most, of a row-wise block that `rows` runs without a
+# graph: its intermediates (the FFN's (rows, ffn_dim) arrays) then never span
+# the whole input. Chunks of ROW_CHUNK / 2 rows or more keep every GEMM on
+# the kernel of the whole one (GEMM_SPLIT_MIN), so the rows come out bitwise
+# the same.
+ROW_CHUNK = 1024
+
+
+def rows(fn: Callable[[Tensor], Tensor], x: Tensor) -> Tensor:
+    """fn(x) for a fn that maps each row of x (..., k) to a row of the same
+    width and dtype on its own (a residual block). When a graph is built,
+    or x has at most ROW_CHUNK rows, fn takes x whole; else fn runs on
+    ceil(rows / ROW_CHUNK) equal chunks of the rows, every axis but the
+    last flattened, each written into one output; inside `cores()` whole
+    chunks run on each pool thread."""
+    x2 = x.data.reshape(-1, x.data.shape[-1])
+    n = len(x2)
+    k = -(-n // ROW_CHUNK)
+    if _GRAD_ENABLED or k < 2:
+        return fn(x)
+    out = np.empty_like(x2)
+
+    def chunks(c0, c1):
+        for c in range(c0, c1):
+            lo, hi = n * c // k, n * (c + 1) // k
+            out[lo:hi] = fn(Tensor(x2[lo:hi])).data
+
+    over(k, chunks)
+    return Tensor(out.reshape(x.data.shape))
 
 
 def _ufunc(f: np.ufunc, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -487,6 +519,11 @@ def rope_rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
 # Query rows per tile: 64 measured fastest or tied of 64/128/256 for forward and
 # backward at t = 128...4096 (2-vCPU x86 host, OpenBLAS).
 BLOCK = 64
+# Scores per tile: a tile holds BLOCK query rows against up to t keys for a
+# group of max(1, TILE_SCORES // (BLOCK * t)) heads, so it takes at most 1 MiB
+# of float32 up to t = 4096, and one head beyond, whatever the batch and head
+# count.
+TILE_SCORES = 1 << 18
 # Additive mask for a diagonal tile: 0 on and below the diagonal, -inf above.
 _FUTURE = np.triu(np.full((BLOCK, BLOCK), -np.inf, dtype=np.float32), k=1)
 
@@ -499,19 +536,33 @@ def _block_scores(q_blk: np.ndarray, k_t: np.ndarray, i0: int, i1: int) -> np.nd
     return s
 
 
+def _over_heads(n: int, t: int, fn: Callable[[int, int], None]) -> None:
+    """fn(h0, h1) over groups of the n heads, the groups sized from t alone
+    (TILE_SCORES), inside each slice of `over`."""
+    size = max(1, TILE_SCORES // (BLOCK * t))
+
+    def groups(h0, h1):
+        for g in range(h0, h1, size):
+            fn(g, min(g + size, h1))
+
+    over(n, groups)
+
+
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, head_scale: float) -> Tensor:
     """softmax(Q K^T * head_scale + causal mask) V over (B, H, t, d) inputs.
 
-    Computed in blocks of BLOCK query rows, all B*H heads at once (one
-    contiguous slice of them per pool thread inside `cores()`): block
-    [i0, i1) scores only keys [0, i1), so fully masked tiles are skipped,
-    and only the diagonal tile carries the -inf mask. Each row takes an
-    exact two-pass softmax over its whole key range. Block boundaries
-    depend only on position, so row i's key range and reduction order are
-    fixed by i and t, and its output is bitwise independent of positions
-    j > i. The forward working set is O(B*H*BLOCK*t); the backward pass
-    keeps only the output and the per-row log-sum-exp, O(B*H*t*d), and
-    recomputes each block's probabilities from them.
+    Computed in tiles of BLOCK query rows for a group of heads (one
+    contiguous slice of the B*H heads per pool thread inside `cores()`,
+    in groups sized by TILE_SCORES): block [i0, i1) scores only keys
+    [0, i1), so fully masked tiles are skipped, and only the diagonal tile
+    carries the -inf mask. A tile's query rows are scaled by head_scale as
+    it is formed. Each row takes an exact two-pass softmax over its whole
+    key range. Block boundaries depend only on position, so row i's key
+    range and reduction order are fixed by i and t, and its output is
+    bitwise independent of positions j > i. The forward working set is one
+    tile per thread; the backward pass keeps only the output and the
+    per-row log-sum-exp, O(B*H*t*d), and recomputes each block's
+    probabilities from them.
     """
     if q.data.shape != k.data.shape or q.data.shape != v.data.shape:
         raise ShapeError(
@@ -519,8 +570,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, head_scale: float) -> Tens
     B, H, t, d = q.data.shape
     n = B * H
     scale = q.data.dtype.type(head_scale)
-    q1 = q.data.reshape(n, t, d)
-    q2 = np.empty(q1.shape, q1.dtype)  # q * head_scale, filled head slice by head slice
+    q2 = np.ascontiguousarray(q.data.reshape(n, t, d))
     k2 = np.ascontiguousarray(k.data.reshape(n, t, d))
     v2 = np.ascontiguousarray(v.data.reshape(n, t, d))
     k_t = k2.transpose(0, 2, 1)
@@ -530,9 +580,8 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, head_scale: float) -> Tens
     lse = np.empty((n, t), dtype=q2.dtype)
 
     def forward(h0, h1):
-        np.multiply(q1[h0:h1], scale, out=q2[h0:h1])
         for i0, i1 in blocks:
-            e = _block_scores(q2[h0:h1, i0:i1], k_t[h0:h1], i0, i1)
+            e = _block_scores(q2[h0:h1, i0:i1] * scale, k_t[h0:h1], i0, i1)
             m = e.max(axis=-1, keepdims=True)
             e -= m
             np.exp(e, out=e)
@@ -542,7 +591,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, head_scale: float) -> Tens
             o /= denom
             lse[h0:h1, i0:i1] = (m + np.log(denom))[..., 0]
 
-    over(n, forward)
+    _over_heads(n, t, forward)
 
     def bwd(g):
         g2 = np.ascontiguousarray(g.reshape(n, t, d))
@@ -552,10 +601,11 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, head_scale: float) -> Tens
 
         def backward_heads(h0, h1):
             delta = np.einsum("ntd,ntd->nt", g2[h0:h1], out[h0:h1])  # rowsum(dO * O)
-            qh, kh, v_th = q2[h0:h1], k2[h0:h1], v2[h0:h1].transpose(0, 2, 1)
+            kh, v_th = k2[h0:h1], v2[h0:h1].transpose(0, 2, 1)
             for i0, i1 in blocks:
                 g_blk = g2[h0:h1, i0:i1]
-                p = _block_scores(qh[:, i0:i1], k_t[h0:h1], i0, i1)
+                q_blk = q2[h0:h1, i0:i1] * scale
+                p = _block_scores(q_blk, k_t[h0:h1], i0, i1)
                 p -= lse[h0:h1, i0:i1, None]
                 np.exp(p, out=p)                                # P, recomputed
                 dv[h0:h1, :i1] += np.matmul(p.transpose(0, 2, 1), g_blk)
@@ -563,9 +613,9 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, head_scale: float) -> Tens
                 ds -= delta[:, i0:i1, None]
                 ds *= p                                         # dS = P * (dP - D)
                 np.matmul(ds, kh[:, :i1], out=dq[h0:h1, i0:i1])
-                dk[h0:h1, :i1] += np.matmul(ds.transpose(0, 2, 1), qh[:, i0:i1])
+                dk[h0:h1, :i1] += np.matmul(ds.transpose(0, 2, 1), q_blk)
 
-        over(n, backward_heads)
+        _over_heads(n, t, backward_heads)
         dq *= scale
         _accum(q, dq.reshape(B, H, t, d))
         _accum(k, dk.reshape(B, H, t, d))

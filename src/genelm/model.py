@@ -126,7 +126,7 @@ def rope_apply(x: Tensor, angles: tuple[np.ndarray, np.ndarray]) -> Tensor:
     cos, sin = angles
     t = x.shape[-2]
     dt = x.dtype
-    return K.rope_rotate(x, cos[:t].astype(dt), sin[:t].astype(dt))
+    return K.rope_rotate(x, cos[:t].astype(dt, copy=False), sin[:t].astype(dt, copy=False))
 
 
 # ---------------------------------------------------------------------------
@@ -137,27 +137,32 @@ def attention_block(x: Tensor, layer: LayerParams,
                     angles: tuple[np.ndarray, np.ndarray],
                     n_heads: int, eps: float) -> Tensor:
     """x + Wo . MHA(rmsnorm(x)); strictly causal, scores scaled by
-    1/sqrt(head_dim). x is (batch, t, hidden)."""
+    1/sqrt(head_dim). x is (batch, t, hidden). Each intermediate is dropped
+    once used, so that without a graph only the live ones take memory."""
     B, t, h = x.shape
     d = h // n_heads
     xn = K.rmsnorm(x, layer.attn_norm_gain, eps)
-    heads = []
-    for w in (layer.wq, layer.wk, layer.wv):
-        proj = K.matmul(xn, w)
-        heads.append(K.transpose(K.reshape(proj, (B, t, n_heads, d)), (0, 2, 1, 3)))
-    q, k, v = heads
+    q, k, v = (K.transpose(K.reshape(K.matmul(xn, w), (B, t, n_heads, d)), (0, 2, 1, 3))
+               for w in (layer.wq, layer.wk, layer.wv))
+    del xn
     q = rope_apply(q, angles)
     k = rope_apply(k, angles)
     att = K.causal_attention(q, k, v, 1.0 / math.sqrt(d))
+    del q, k, v
     merged = K.reshape(K.transpose(att, (0, 2, 1, 3)), (B, t, h))
+    del att
     return K.add(x, K.matmul(merged, layer.wo))
 
 
 def ffn_block(x: Tensor, layer: LayerParams, eps: float) -> Tensor:
-    """x + W2 . (silu(W1 . rmsnorm(x)) * (W3 . rmsnorm(x)))."""
-    xn = K.rmsnorm(x, layer.ffn_norm_gain, eps)
-    gated = K.mul(K.silu(K.matmul(xn, layer.w1)), K.matmul(xn, layer.w3))
-    return K.add(x, K.matmul(gated, layer.w2))
+    """x + W2 . (silu(W1 . rmsnorm(x)) * (W3 . rmsnorm(x))); without a graph
+    over fixed chunks of rows (`K.rows`)."""
+    def block(xs: Tensor) -> Tensor:
+        xn = K.rmsnorm(xs, layer.ffn_norm_gain, eps)
+        gated = K.mul(K.silu(K.matmul(xn, layer.w1)), K.matmul(xn, layer.w3))
+        return K.add(xs, K.matmul(gated, layer.w2))
+
+    return K.rows(block, x)
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +198,14 @@ class LanguageModel:
     def named_params(self) -> dict[str, Tensor]:
         return {name: self.params[name] for name in param_shapes(self.config)}
 
-    def _rope(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rotary tables for at least t positions: as long as the longest
-        input so far, not max_seq_len, which a checkpoint header can set to
-        any size."""
-        if self._angles is None or len(self._angles[0]) < t:
-            self._angles = rope_angles(self.config.head_dim, self.config.rope_base,
-                                       np.arange(t))
+    def _rope(self, t: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+        """Rotary tables in the activations' dtype for at least t positions:
+        as long as the longest input so far, not max_seq_len, which a
+        checkpoint header can set to any size."""
+        if (self._angles is None or len(self._angles[0]) < t
+                or self._angles[0].dtype != dtype):
+            tables = rope_angles(self.config.head_dim, self.config.rope_base, np.arange(t))
+            self._angles = tuple(a.astype(dtype, copy=False) for a in tables)
         return self._angles
 
     def _check_tokens(self, tokens: np.ndarray) -> np.ndarray:
@@ -223,8 +229,8 @@ class LanguageModel:
         default, or the residual stream right after block `layer`."""
         cfg = self.config
         ids = self._check_tokens(tokens)
-        angles = self._rope(ids.shape[1])
         x = K.embedding(self.params["token_embedding"], ids)
+        angles = self._rope(ids.shape[1], x.dtype)
         for i, lp in enumerate(self.layers):
             x = attention_block(x, lp, angles, cfg.n_heads, cfg.norm_eps)
             x = ffn_block(x, lp, cfg.norm_eps)

@@ -19,6 +19,24 @@ def record_acceptance(number: int, description: str, ok: bool, detail: str = "")
     assert ok, line
 
 
+def pytest_addoption(parser):
+    parser.addoption("--run-long", action="store_true",
+                     help="also run the tests marked long (minutes each)")
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "long: a long-context test, run with --run-long")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--run-long"):
+        return
+    skip = pytest.mark.skip(reason="long-context test: pass --run-long to run it")
+    for item in items:
+        if "long" in item.keywords:
+            item.add_marker(skip)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_RESULTS:
         terminalreporter.section("acceptance criteria")

@@ -80,6 +80,23 @@ def recording_over(monkeypatch):
     return splits
 
 
+def recording_rows(monkeypatch):
+    """Patch K.rows to record the row count of every call of its fn (one
+    per chunk), and return the list."""
+    chunks = []
+    rows = K.rows
+
+    def recording(fn, x):
+        def counted(xs):
+            chunks.append(xs.data.size // xs.data.shape[-1])
+            return fn(xs)
+
+        return rows(counted, x)
+
+    monkeypatch.setattr(K, "rows", recording)
+    return chunks
+
+
 def train_digest(cfg, tcfg, data):
     """SHA-1 over the parameters and both Adam moments, and the losses."""
     ckpt, rows = TR.train_stage(cfg, tcfg, data, init_seed=4)
@@ -256,6 +273,27 @@ class TestBitIdentical:
 
     def test_desk_model_outputs_and_gradients(self, rng, monkeypatch):
         assert_scope_changes_no_output(DESK, rng, monkeypatch)
+
+    @pytest.mark.parametrize("inside", [False, True])
+    @pytest.mark.parametrize("shape", [(1100,), (2048,), (4096,), (3, 700)])
+    def test_no_grad_forward_equals_the_graph_forward(self, rng, monkeypatch, shape, inside):
+        """The graph-free outputs, whose FFN runs over row chunks
+        (`K.rows`), equal the graph-building forward's, inside `cores()` and
+        with the scope out of reach."""
+        model = LanguageModel.init(dataclasses.replace(DESK, max_seq_len=4096), seed=5)
+        ids = rng.integers(2, 6, size=shape)
+        if not inside:
+            monkeypatch.setattr(K, "CORES_MIN_LEN", 10**9)
+        chunks = recording_rows(monkeypatch)
+        with K.cores() if inside else contextlib.nullcontext():
+            got = [model.logits(ids), model.hidden(ids), model.hidden(ids, layer=1)]
+            # ten FFN blocks (4 + 4 + 2), none of them whole
+            assert sum(chunks) == 10 * ids.size and max(chunks) < ids.size
+            graph = [model.forward(ids), model.forward_hidden(ids),
+                     model.forward_hidden(ids, layer=1)]
+        for a, b in zip(got, graph):
+            assert b.requires_grad
+            assert np.array_equal(a, b.data.reshape(a.shape))
 
     def test_prefix_logits_stable_under_suffix_edit(self, rng):
         model = LanguageModel.init(TINY, seed=3)

@@ -223,6 +223,25 @@ class TestStructuralOps:
         assert np.array_equal(edited[:, :, :j], base[:, :, :j])
         assert not np.array_equal(edited[:, :, j], base[:, :, j])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attention_head_groups_equal_all_heads_at_once(self, rng, monkeypatch, dtype):
+        """Output and all three gradients are bitwise the same whatever the
+        head groups' size: all 6 heads at once, 4 then 2, or one by one."""
+        t = 2 * K.BLOCK + 37
+        q, k, v, g = (rng.standard_normal((2, 3, t, 8)).astype(dtype) for _ in range(4))
+
+        def run(heads_per_group):
+            monkeypatch.setattr(K, "TILE_SCORES", heads_per_group * K.BLOCK * t)
+            tq, tk, tv = (K.Tensor(x.copy(), requires_grad=True) for x in (q, k, v))
+            out = K.causal_attention(tq, tk, tv, 0.35)
+            out._bwd(g)
+            return out.data, tq.grad, tk.grad, tv.grad
+
+        whole = run(6)
+        for size in (4, 1):
+            for a, b in zip(whole, run(size)):
+                assert a.dtype == dtype and np.array_equal(a, b), size
+
     def test_embedding_gradient_scatter(self, rng):
         table = K.Tensor(rng.standard_normal((6, 4)), requires_grad=True)
         ids = np.array([2, 2, 5])

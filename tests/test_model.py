@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,22 @@ class TestForward:
         tokens = rng.integers(0, 6, size=9)
         assert np.array_equal(huge.logits(tokens), tiny_model().logits(tokens))
         assert len(huge._angles[0]) == 9
+
+    def test_no_grad_logits_hold_at_most_4_5_kib_per_token(self, rng):
+        """Peak traced memory of one graph-free desk-model forward at 4096
+        tokens: the residual stream, a layer's Q/K/V and attention output,
+        one score tile per thread and one chunk of FFN rows, not whole
+        (t, ffn_dim) arrays or activations no op still reads."""
+        t = 4096
+        model = LanguageModel.init(dataclasses.replace(ModelConfig(), max_seq_len=t))
+        ids = rng.integers(2, 6, size=t)
+        tracemalloc.start()
+        try:
+            model.logits(ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / t <= 4.5 * 1024, f"{peak / t / 1024:.2f} KiB per token"
 
     def test_prefix_consistency(self, rng):
         model = tiny_model()
