@@ -129,8 +129,10 @@ def length_sweep(models, records, lengths, *,
     """Full (model x length) table over the corpus re-windowed per length.
 
     `models` is a list of (model_id, model) pairs. Lengths beyond a model's
-    context produce rows marked unsupported instead of extrapolating.
-    `max_sequences` caps the windows scored per length (None: all of them).
+    context produce rows marked unsupported instead of extrapolating. A
+    length that no record reaches gives rows of no sequences, with ppl,
+    recon_acc and mean_nll None. `max_sequences` caps the windows scored
+    per length (None: all of them).
     """
     if max_sequences is not None and max_sequences < 1:
         raise ValueError(f"max_sequences must be >= 1, got {max_sequences}")
@@ -146,6 +148,11 @@ def length_sweep(models, records, lengths, *,
                     model_id=model_id, eval_length=length, ppl=None,
                     recon_acc=None, n_sequences=len(seqs), n_scored_tokens=0,
                     mean_nll=None, supported=False))
+                continue
+            if not seqs:
+                report.rows.append(ReportRow(
+                    model_id=model_id, eval_length=length, ppl=None,
+                    recon_acc=None, n_sequences=0, n_scored_tokens=0))
                 continue
             report.rows.append(report_row(model_id, length, model, seqs))
     return report

@@ -1,8 +1,12 @@
 """Dense numeric kernels with reverse-mode gradient computation.
 
-Everything the model touches is a `Tensor`: a numpy array plus an optional
-node in a compute graph. Graphs are built per forward pass and freed during
-`backward`, so memory stays bounded for long sequences. Causal attention is
+Everything the model touches is a `Tensor`: a numpy array plus its `Node`
+in a compute graph built per forward pass. Edges link nodes, not arrays,
+so a graph holds exactly the arrays its backward rules capture: an op's
+output that no rule reads is freed as soon as the program drops it, and
+`backward` releases each rule, with what it captured, once it has run. The
+SwiGLU gate (`swiglu`) keeps its two inputs and recomputes its sigmoid in
+the backward. Causal attention is
 tiled into blocks of BLOCK query rows for a group of heads and never forms
 the t x t matrix: its forward working set is one tile per thread
 (TILE_SCORES) and it keeps O(B*H*t*d) for the backward pass. Without a
@@ -152,16 +156,41 @@ def over(n: int, fn: Callable[[int, int], None]) -> None:
         f.result()
 
 
-class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd")
+class Node:
+    """What `backward` needs of a tensor, without its value: the gradient,
+    whether one is wanted, the nodes the tensor was computed from, the rule
+    that sends its gradient to them, and the dtype the gradient is kept in.
+    Edges point at nodes, so they keep no array alive (module docstring)."""
+    __slots__ = ("grad", "requires_grad", "_parents", "_bwd", "dtype")
 
-    def __init__(self, data: np.ndarray, requires_grad: bool = False,
+    def __init__(self, dtype: np.dtype, requires_grad: bool = False,
                  parents: tuple = (), bwd: Callable | None = None):
-        self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents = parents
         self._bwd = bwd
+        self.dtype = dtype
+
+
+def _on_node(name: str) -> property:
+    return property(lambda t: getattr(t.node, name),
+                    lambda t, value: setattr(t.node, name, value))
+
+
+class Tensor:
+    """A numpy array and its graph `Node`; grad, requires_grad, _parents
+    and _bwd read and write the node's."""
+    __slots__ = ("data", "node")
+
+    grad = _on_node("grad")
+    requires_grad = _on_node("requires_grad")
+    _parents = _on_node("_parents")
+    _bwd = _on_node("_bwd")
+
+    def __init__(self, data: np.ndarray, requires_grad: bool = False,
+                 node: Node | None = None):
+        self.data = data
+        self.node = Node(data.dtype, requires_grad) if node is None else node
 
     @property
     def shape(self):
@@ -175,22 +204,25 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _result(data: np.ndarray, parents: Sequence[Tensor], bwd: Callable) -> Tensor:
+def _result(data: np.ndarray, parents: Sequence[Node], bwd: Callable) -> Tensor:
+    """data as a Tensor, with a node linked to the parents' nodes when a
+    graph is built. bwd must capture nodes, shapes and the arrays it reads,
+    never a Tensor, which would keep that Tensor's data alive."""
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, parents=tuple(parents), bwd=bwd)
+        return Tensor(data, node=Node(data.dtype, True, tuple(parents), bwd))
     return Tensor(data)
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Add g into t.grad. The first gradient becomes the buffer itself: every
-    backward rule passes an array that nothing else holds (`add` copies the
-    one it would share)."""
-    if not t.requires_grad:
+def _accum(node: Node, g: np.ndarray) -> None:
+    """Add g into node.grad. The first gradient becomes the buffer itself:
+    every backward rule passes an array that nothing else holds (`add`
+    copies the one it would share)."""
+    if not node.requires_grad:
         return
-    if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=False)
+    if node.grad is None:
+        node.grad = g.astype(node.dtype, copy=False)
     else:
-        t.grad += g
+        node.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -269,37 +301,41 @@ def _ufunc(f: np.ufunc, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = _ufunc(np.add, a.data, b.data)
+    na, nb, sa, sb = a.node, b.node, a.shape, b.shape
 
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            gb = _unbroadcast(g, b.data.shape)
-            if a.grad is not None and np.shares_memory(a.grad, gb):
+        if na.requires_grad:
+            _accum(na, _unbroadcast(g, sa))
+        if nb.requires_grad:
+            gb = _unbroadcast(g, sb)
+            if na.grad is not None and np.shares_memory(na.grad, gb):
                 gb = gb.copy()  # a kept g as its gradient
-            _accum(b, gb)
+            _accum(nb, gb)
 
-    return _result(out, (a, b), bwd)
+    return _result(out, (na, nb), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = _ufunc(np.multiply, a.data, b.data)
+    ad, bd = a.data, b.data
+    out = _ufunc(np.multiply, ad, bd)
+    na, nb = a.node, b.node
 
     def bwd(g):
-        for t, other in ((a, b), (b, a)):
-            if t.requires_grad:
-                _accum(t, _unbroadcast(_ufunc(np.multiply, g, other.data), t.data.shape))
+        for n, other, shape in ((na, bd, ad.shape), (nb, ad, bd.shape)):
+            if n.requires_grad:
+                _accum(n, _unbroadcast(_ufunc(np.multiply, g, other), shape))
 
-    return _result(out, (a, b), bwd)
+    return _result(out, (na, nb), bwd)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
     out = a.data.reshape(shape)
+    na, sa = a.node, a.shape
 
     def bwd(g):
-        _accum(a, g.reshape(a.data.shape))
+        _accum(na, g.reshape(sa))
 
-    return _result(out, (a,), bwd)
+    return _result(out, (na,), bwd)
 
 
 def _contiguous(view: np.ndarray) -> np.ndarray:
@@ -315,30 +351,33 @@ def _contiguous(view: np.ndarray) -> np.ndarray:
 def transpose(a: Tensor, axes: tuple) -> Tensor:
     out = _contiguous(a.data.transpose(axes))
     inverse = np.argsort(axes)
+    na = a.node
 
     def bwd(g):
-        _accum(a, _contiguous(g.transpose(inverse)))
+        _accum(na, _contiguous(g.transpose(inverse)))
 
-    return _result(out, (a,), bwd)
+    return _result(out, (na,), bwd)
 
 
 def sum_axis(a: Tensor, axis: int) -> Tensor:
     n = a.data.shape[axis]
     out = a.data.sum(axis=axis)
+    na = a.node
 
     def bwd(g):
-        _accum(a, np.repeat(np.expand_dims(g, axis), n, axis=axis))
+        _accum(na, np.repeat(np.expand_dims(g, axis), n, axis=axis))
 
-    return _result(out, (a,), bwd)
+    return _result(out, (na,), bwd)
 
 
 def sum_all(a: Tensor) -> Tensor:
     out = np.asarray(a.data.sum(), dtype=a.data.dtype)
+    na, sa = a.node, a.shape
 
     def bwd(g):
-        _accum(a, np.broadcast_to(g, a.data.shape).astype(a.data.dtype))
+        _accum(na, np.broadcast_to(g, sa).astype(na.dtype))
 
-    return _result(out, (a,), bwd)
+    return _result(out, (na,), bwd)
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -355,28 +394,63 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return sig
 
 
-def silu(a: Tensor) -> Tensor:
-    x = a.data
-    sig = np.empty(x.shape, x.dtype)
-    _split(lambda xs, sigs: _sigmoid(xs, out=sigs), x, sig)
-    # made after the sigmoid's temporaries are freed: allocating it before
-    # them took about 20 % more page faults per scored 256-token sequence
-    out = _ufunc(np.multiply, x, sig)
+# Elements per block of `swiglu`'s rows: the sigmoid's temporaries span one
+# block, not the whole gate, so a forward without a graph holds little more
+# than a, b and the output (at 256 rows of 352 and up, no more than a
+# separate SiLU op and product held), and the passes over a block stay in
+# cache (4096 x 352 float32 on a 2-vCPU x86 host: forward 4.5 -> 3.6 ms,
+# backward 8.5 -> 5.8 ms against whole arrays).
+GATE_BLOCK = 1 << 14
+
+
+def _by_blocks(fn: Callable) -> Callable:
+    """fn run over successive blocks of rows of its 2-D arguments, each
+    block GATE_BLOCK elements or one row."""
+    def run(*arrays):
+        step = max(1, GATE_BLOCK // arrays[0].shape[1])
+        for lo in range(0, len(arrays[0]), step):
+            fn(*(a[lo:lo + step] for a in arrays))
+    return run
+
+
+def swiglu(a: Tensor, b: Tensor) -> Tensor:
+    """silu(a) * b = a * sigmoid(a) * b, the gate of a SwiGLU feed-forward
+    block; a and b share shape and dtype. The backward keeps only a and b
+    and recomputes the sigmoid from a, bitwise as the forward made it."""
+    x, y = a.data, b.data
+    if x.shape != y.shape:
+        raise ShapeError(f"swiglu operands disagree: {x.shape}, {y.shape}")
+    x2, y2 = x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1])
+    out = np.empty(x2.shape, x.dtype)
+
+    def forward(xs, ys, outs):
+        # one buffer: the sigmoid, then silu = a * sigmoid (the product
+        # commutes bitwise), then the gate product
+        _sigmoid(xs, out=outs)
+        outs *= xs
+        outs *= ys
+
+    _split(_by_blocks(forward), x2, y2, out)
+    na, nb = a.node, b.node
 
     def bwd(g):
-        d = np.empty(x.shape, x.dtype)
+        da, db = np.empty(x2.shape, x.dtype), np.empty(x2.shape, x.dtype)
 
-        def backward(ds, sigs, xs, gs):
-            np.subtract(1.0, sigs, out=ds)
-            ds *= xs
-            ds += 1.0
-            ds *= sigs
-            ds *= gs
+        def backward(xs, ys, gs, das, dbs):
+            sig = _sigmoid(xs)
+            np.multiply(gs, xs * sig, out=dbs)  # g * silu(a)
+            # d silu / da = sig * (1 + a * (1 - sig)), times g * b
+            np.subtract(1.0, sig, out=das)
+            das *= xs
+            das += 1.0
+            das *= sig
+            das *= gs * ys
 
-        _split(backward, d, sig, x, g)
-        _accum(a, d)
+        _split(_by_blocks(backward), x2, y2, g.reshape(x2.shape), da, db)
+        _accum(na, da.reshape(x.shape))
+        _accum(nb, db.reshape(x.shape))
 
-    return _result(out, (a,), bwd)
+    return _result(out.reshape(x.shape), (na, nb), bwd)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -385,15 +459,15 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         raise ValueError(
             f"token id out of range for table with {table.data.shape[0]} rows")
     out = table.data[ids]
+    nt, shape = table.node, table.shape
 
     def bwd(g):
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, ids.ravel(),
-                      g.reshape(-1, table.data.shape[1]))
+        if nt.requires_grad:
+            if nt.grad is None:
+                nt.grad = np.zeros(shape, nt.dtype)
+            np.add.at(nt.grad, ids.ravel(), g.reshape(-1, shape[1]))
 
-    return _result(out, (table,), bwd)
+    return _result(out, (nt,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -419,19 +493,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a2 = ad.reshape(-1, ad.shape[-1])  # one GEMM over the stack of rows
     out = np.empty((len(a2), bd.shape[1]), np.result_type(ad, bd))
     split(lambda rows, o: np.matmul(rows, bd, out=o), a2, out)
+    na, nb, sa = a.node, b.node, ad.shape
 
     def bwd(g):
         g2 = g.reshape(-1, bd.shape[1])
-        if a.requires_grad:
+        if na.requires_grad:
             da = np.empty(a2.shape, np.result_type(g, bd))
             split(lambda rows, o: np.matmul(rows, bd.T, out=o), g2, da)
-            _accum(a, da.reshape(ad.shape))
-        if b.requires_grad:
-            db = np.empty(bd.shape, np.result_type(ad, g))
+            _accum(na, da.reshape(sa))
+        if nb.requires_grad:
+            db = np.empty(bd.shape, np.result_type(a2, g))
             split(lambda cols, o: np.matmul(cols, g2, out=o), a2.T, db)
-            _accum(b, db)
+            _accum(nb, db)
 
-    return _result(out.reshape(*ad.shape[:-1], bd.shape[1]), (a, b), bwd)
+    return _result(out.reshape(*sa[:-1], bd.shape[1]), (na, nb), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +529,10 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
         outs *= gd
 
     _split(forward, xd, inv, out)
+    nx, ng = x.node, gain.node
 
     def bwd(g):
-        if x.requires_grad:
+        if nx.requires_grad:
             dx = np.empty(xd.shape, np.result_type(g, xd, gd))
 
             def backward(gs, xs, invs, dxs):
@@ -465,15 +541,15 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
                 np.subtract(invs * gg, xs * (invs ** 3) * (dot / d), out=dxs)
 
             _split(backward, g, xd, inv, dx)
-            _accum(x, dx)
-        if gain.requires_grad:
+            _accum(nx, dx)
+        if ng.requires_grad:
             # rows of the product split, its one column sum whole
             contrib = np.empty(xd.shape, np.result_type(g, xd))
             _split(lambda gs, xs, invs, cs: np.multiply(gs * xs, invs, out=cs),
                    g, xd, inv, contrib)
-            _accum(gain, contrib.reshape(-1, d).sum(axis=0))
+            _accum(ng, contrib.reshape(-1, d).sum(axis=0))
 
-    return _result(out, (x, gain), bwd)
+    return _result(out, (nx, ng), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -499,17 +575,16 @@ def rope_rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     x has shape (..., t, d) with d even; cos/sin have shape (t, d/2) and
     hold the per-(position, pair) rotation angles' cosine and sine.
     """
-    xd = x.data
-    if xd.shape[-1] % 2 != 0:
-        raise ShapeError(f"rotary rotation needs an even trailing dim, got {xd.shape}")
+    if x.shape[-1] % 2 != 0:
+        raise ShapeError(f"rotary rotation needs an even trailing dim, got {x.shape}")
+    nx = x.node
 
     def bwd(g):
         # the inverse rotation; negating sin is exact, so this is bitwise the
         # transposed rotation written out
-        if x.requires_grad:
-            _accum(x, _rotate(g, cos, -sin))
+        _accum(nx, _rotate(g, cos, -sin))
 
-    return _result(_rotate(xd, cos, sin), (x,), bwd)
+    return _result(_rotate(x.data, cos, sin), (nx,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +667,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, head_scale: float) -> Tens
             lse[h0:h1, i0:i1] = (m + np.log(denom))[..., 0]
 
     _over_heads(n, t, forward)
+    nq, nk, nv = q.node, k.node, v.node
 
     def bwd(g):
         g2 = np.ascontiguousarray(g.reshape(n, t, d))
@@ -617,11 +693,11 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, head_scale: float) -> Tens
 
         _over_heads(n, t, backward_heads)
         dq *= scale
-        _accum(q, dq.reshape(B, H, t, d))
-        _accum(k, dk.reshape(B, H, t, d))
-        _accum(v, dv.reshape(B, H, t, d))
+        _accum(nq, dq.reshape(B, H, t, d))
+        _accum(nk, dk.reshape(B, H, t, d))
+        _accum(nv, dv.reshape(B, H, t, d))
 
-    return _result(out.reshape(B, H, t, d), (q, k, v), bwd)
+    return _result(out.reshape(B, H, t, d), (nq, nk, nv), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -663,16 +739,16 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
     logp = z - np.log(sumexp)
     nll = -np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
     loss_val = np.asarray(nll[mask].sum(dtype=np.float64) / total, dtype=ld.dtype)
+    nl, dtype = logits.node, ld.dtype
 
     def bwd(g):
-        if logits.requires_grad:
-            dl = ez / sumexp
-            flat_idx = np.arange(targets.size) * vocab + targets.ravel()
-            dl.reshape(-1)[flat_idx] -= 1.0
-            dl *= (mask[..., None] * (float(g) / total)).astype(ld.dtype)
-            _accum(logits, dl)
+        dl = ez / sumexp
+        flat_idx = np.arange(targets.size) * vocab + targets.ravel()
+        dl.reshape(-1)[flat_idx] -= 1.0
+        dl *= (mask[..., None] * (float(g) / total)).astype(dtype)
+        _accum(nl, dl)
 
-    return _result(loss_val, (logits,), bwd)
+    return _result(loss_val, (nl,), bwd)
 
 
 def sigmoid_bce(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -683,12 +759,12 @@ def sigmoid_bce(logits: Tensor, targets: np.ndarray) -> Tensor:
         raise ShapeError(f"targets shape {t.shape} != logits shape {x.shape}")
     per = np.maximum(x, 0) - x * t + np.log1p(np.exp(-np.abs(x)))
     loss_val = np.asarray(per.sum(dtype=np.float64) / x.size, dtype=x.dtype)
+    nl = logits.node
 
     def bwd(g):
-        if logits.requires_grad:
-            _accum(logits, (_sigmoid(x) - t) * (float(g) / x.size))
+        _accum(nl, (_sigmoid(x) - t) * (float(g) / x.size))
 
-    return _result(loss_val, (logits,), bwd)
+    return _result(loss_val, (nl,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -707,9 +783,10 @@ def backward(loss: Tensor) -> None:
 
     # iterative postorder; a node's parents exist before it, so the graph
     # has no cycle
+    root = loss.node
     seen: set[int] = set()
-    order: list[Tensor] = []
-    stack = [(loss, False)]
+    order: list[Node] = []
+    stack = [(root, False)]
     while stack:
         node, done = stack.pop()
         if done:
@@ -719,7 +796,7 @@ def backward(loss: Tensor) -> None:
             stack.append((node, True))
             stack.extend((p, False) for p in node._parents if id(p) not in seen)
 
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._bwd is None:
             continue

@@ -138,7 +138,8 @@ def attention_block(x: Tensor, layer: LayerParams,
                     n_heads: int, eps: float) -> Tensor:
     """x + Wo . MHA(rmsnorm(x)); strictly causal, scores scaled by
     1/sqrt(head_dim). x is (batch, t, hidden). Each intermediate is dropped
-    once used, so that without a graph only the live ones take memory."""
+    once used, so only the live ones take memory: with a graph, those that
+    a backward rule captured, without one, those the next op reads."""
     B, t, h = x.shape
     d = h // n_heads
     xn = K.rmsnorm(x, layer.attn_norm_gain, eps)
@@ -159,7 +160,7 @@ def ffn_block(x: Tensor, layer: LayerParams, eps: float) -> Tensor:
     over fixed chunks of rows (`K.rows`)."""
     def block(xs: Tensor) -> Tensor:
         xn = K.rmsnorm(xs, layer.ffn_norm_gain, eps)
-        gated = K.mul(K.silu(K.matmul(xn, layer.w1)), K.matmul(xn, layer.w3))
+        gated = K.swiglu(K.matmul(xn, layer.w1), K.matmul(xn, layer.w3))
         return K.add(xs, K.matmul(gated, layer.w2))
 
     return K.rows(block, x)

@@ -498,6 +498,17 @@ class TestPipelines:
         assert len(rows) == 1 + 8  # header + 2 checkpoints x 4 lengths
         assert (tmp_path / "sw" / "sweep.jsonl").exists()
 
+    def test_sweep_length_no_record_reaches_exits_0_with_an_empty_row(
+            self, prepared, tmp_path, capsys):
+        rc = run(["sweep", "--checkpoints", str(prepared / "run" / "checkpoint.bin"),
+                  "--synthetic", "length=40", "--lengths", "16,48",
+                  "--out-dir", str(tmp_path / "sw")])
+        assert rc == 0
+        rows = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+        assert rows[1].startswith("checkpoint,16,") and rows[2] == "checkpoint,48,,,0,0"
+        last = json.loads((tmp_path / "sw" / "sweep.jsonl").read_text().splitlines()[1])
+        assert last["mean_nll"] is None and last["supported"] is True
+
     def test_extend_runs(self, prepared, tmp_path, capsys):
         out = tmp_path / "ext"
         rc = run(["prepare", "--synthetic", "length=60000", "markov_order=1",

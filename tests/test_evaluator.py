@@ -205,6 +205,15 @@ class TestLengthSweep:
         assert by_key[("short", 16)].supported is True
         assert by_key[("long", 64)].ppl is not None
 
+    def test_length_no_record_reaches_gives_a_row_of_no_sequences(self):
+        model = self.make_model(64)
+        rec = G.generate_synthetic_genome(5, 40, 0, 0.0)
+        report = E.length_sweep([("m", model)], [rec], [16, 48, 128])
+        by_length = {r.eval_length: r for r in report.rows}
+        assert by_length[16].n_sequences > 0 and by_length[16].ppl is not None
+        assert by_length[48] == E.ReportRow("m", 48, None, None, 0, 0, None, supported=True)
+        assert by_length[128].supported is False
+
     def test_round_trip_csv_and_jsonl(self, tmp_path):
         report = E.PerplexityReport([
             E.ReportRow("m", 32, 3.75, 0.3125, 4, 124, 1.3217558399823195),

@@ -75,22 +75,50 @@ class TestRmsnorm:
             K.rmsnorm(K.Tensor(np.ones((1, 2))), K.Tensor(np.ones(2)), 0.0)
 
 
-class TestSilu:
+def silu_times(x, y, g):
+    """silu(x) * y and its two gradients under upstream g, composed in numpy
+    in the order of the ops they replace: the two-branch sigmoid, x * sig,
+    the product, and the SiLU derivative times g * y."""
+    z = np.exp(-np.abs(x))
+    sig = np.where(x >= 0, 1 / (1 + z), z / (1 + z)).astype(x.dtype)
+    s = x * sig
+    return s * y, (((1 - sig) * x + 1) * sig) * (g * y), g * s
+
+
+class TestSwiglu:
     def test_zero(self):
-        assert K.silu(K.Tensor(np.array([0.0]))).data[0] == 0.0
+        assert K.swiglu(K.Tensor(np.array([0.0])), K.Tensor(np.array([1.0]))).data[0] == 0.0
 
     def test_saturation(self):
-        out = K.silu(K.Tensor(np.array([20.0])))
+        out = K.swiglu(K.Tensor(np.array([20.0])), K.Tensor(np.array([1.0])))
         assert abs(out.data[0] - 20.0) < 1e-6
 
     def test_stable_for_large_negative(self):
-        out = K.silu(K.Tensor(np.array([-1000.0])))
+        out = K.swiglu(K.Tensor(np.array([-1000.0])), K.Tensor(np.array([1.0])))
         assert np.isfinite(out.data[0]) and abs(out.data[0]) < 1e-6
 
     def test_gradient(self, rng):
-        x = rng.standard_normal((4, 5)) * 2
+        a = rng.standard_normal((4, 5)) * 2
+        b = rng.standard_normal((4, 5))
         w = rng.standard_normal((4, 5))
-        check_grad(lambda t: scalarize(K.silu(t["x"]), w), {"x": x}, rng)
+        check_grad(lambda t: scalarize(K.swiglu(t["a"], t["b"]), w), {"a": a, "b": b}, rng)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_numpy_composition_bitwise(self, rng, dtype):
+        # 1500 rows of 24: three blocks of rows, the last one short
+        shape = (3, 500, 24)
+        x = (30 * rng.standard_normal(shape)).astype(dtype)
+        x.reshape(-1)[:5] = [0.0, -0.0, 1e30, -1e30, -1000.0]
+        y, g = (rng.standard_normal(shape).astype(dtype) for _ in range(2))
+        a, b = K.Tensor(x, requires_grad=True), K.Tensor(y, requires_grad=True)
+        out = K.swiglu(a, b)
+        out._bwd(g)
+        for got, want in zip((out.data, a.grad, b.grad), silu_times(x, y, g)):
+            assert got.dtype == dtype and np.array_equal(got, want)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            K.swiglu(K.Tensor(np.zeros((2, 3))), K.Tensor(np.zeros((3, 2))))
 
 
 class TestCrossEntropy:

@@ -219,6 +219,25 @@ class TestForward:
             tracemalloc.stop()
         assert peak / t <= 4.5 * 1024, f"{peak / t / 1024:.2f} KiB per token"
 
+    def test_graph_holds_at_most_40_kib_per_token(self, rng):
+        """Traced memory still held after one graph-building desk-model
+        forward and its loss at (1, 1024): the arrays the backward rules
+        read, not op outputs that no rule reads (q/k/v before the head
+        transpose or the rotation, the Wo and W2 products before the
+        residual add) nor the FFN's sigmoid and SiLU output."""
+        t = 1024
+        model = LanguageModel.init(dataclasses.replace(ModelConfig(), max_seq_len=t))
+        ids = rng.integers(2, 6, size=(1, t))
+        targets, mask = next_token_targets(ids)
+        tracemalloc.start()
+        try:
+            loss = K.cross_entropy(model.forward(ids), targets, mask)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert loss.requires_grad
+        assert held / t <= 40 * 1024, f"{held / t / 1024:.2f} KiB per token"
+
     def test_prefix_consistency(self, rng):
         model = tiny_model()
         tokens = rng.integers(0, 6, size=20)
