@@ -12,6 +12,7 @@ data errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -105,11 +106,12 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
 def _naming(names: dict[str, str], fn, **kwargs):
     """fn(**kwargs), whose ValueError names each keyword as the command line
-    spells it: names[keyword], else the keyword's long flag."""
+    spells it, names[keyword], else the keyword's long flag; names may also
+    map a name that fn passes on (a config field) to the flag that sets it."""
     try:
         return fn(**kwargs)
     except ValueError as exc:
-        flags = {k: names.get(k, "--" + k.replace("_", "-")) for k in kwargs}
+        flags = {**{k: "--" + k.replace("_", "-") for k in kwargs}, **names}
         message = re.sub(r"\b(" + "|".join(flags) + r")\b", lambda m: flags[m[0]], str(exc))
         raise GenelmError(message) from None
 
@@ -282,8 +284,9 @@ def cmd_probe(args) -> int:
     test_ds = D.load_labeled_dataset(args.test_dataset)
     Xtr = D.embed_dataset(model, train_ds.sequences, pooling=args.pooling)
     Xte = D.embed_dataset(model, test_ds.sequences, pooling=args.pooling)
-    record = D.train_probe(Xtr, train_ds.targets, Xte, test_ds.targets,
-                           n_classes=train_ds.n_classes, seed=args.seed)
+    record = _naming({}, functools.partial(D.train_probe, Xtr, train_ds.targets, Xte,
+                                           test_ds.targets, n_classes=train_ds.n_classes),
+                     seed=args.seed)
     record["task"] = train_ds.task_kind
     D.write_metrics(record, args.out)
     print(json.dumps(record, sort_keys=True))
@@ -299,9 +302,9 @@ def cmd_finetune(args) -> int:
     train_ds = D.load_labeled_dataset(args.train_dataset)
     test_ds = D.load_labeled_dataset(args.test_dataset)
     steps_per_epoch = max(1, -(-len(train_ds) // args.batch_size))
-    cfg = TR.finetune_config(args.epochs * steps_per_epoch,
-                             batch_size=args.batch_size, lr=args.lr,
-                             schedule=args.schedule, seed=args.seed)
+    cfg = _naming({"lr_peak": "--lr"}, TR.finetune_config,
+                  total_iters=args.epochs * steps_per_epoch, batch_size=args.batch_size,
+                  lr=args.lr, schedule=args.schedule, seed=args.seed)
     metrics, finetuned = D.finetune_classify(ckpt, train_ds, test_ds, mode=args.mode,
                                              config=cfg, head_seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)

@@ -24,7 +24,7 @@ class ContextOverflowError(GenelmError, ValueError):
 
 
 class TrainingDivergedError(GenelmError, RuntimeError):
-    """Non-finite loss or NaN gradients; carries the step at which training
+    """Non-finite loss or gradients; carries the step at which training
     broke."""
 
     def __init__(self, message: str, step: int):

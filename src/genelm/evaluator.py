@@ -95,17 +95,6 @@ def report_row(model_id: str, eval_length: int, model, sequences) -> ReportRow:
                      mean_nll=mean_nll)
 
 
-def perplexity(model, sequences) -> tuple[float, float]:
-    """(ppl, mean_nll) pooled over all scored positions of all sequences."""
-    row = report_row("", 0, model, sequences)
-    return row.ppl, row.mean_nll
-
-
-def reconstruction_accuracy(model, sequences) -> float:
-    """The `report_row` reconstruction accuracy of `sequences`."""
-    return report_row("", 0, model, sequences).recon_acc
-
-
 @dataclass
 class PerplexityReport:
     rows: list[ReportRow] = field(default_factory=list)

@@ -18,15 +18,16 @@ Inside `cores()`, OpenBLAS runs one thread and `over` splits work over a
 thread pool instead, with bit-identical results: every row-wise op splits its
 rows (each slice writes its part of a preallocated output), `rows` its
 chunks, attention its heads, and training its batch (`trainer.train_stage`).
-Long sequences and training halves (`cores_for`) use it, short ones keep
-OpenBLAS's own threads.
+In or out of the scope, `over`'s run bound cuts each slice into runs counted
+from its start: attention's head groups, the SwiGLU gate's row blocks and
+`rows`' chunks. Long sequences and training halves (`cores_for`) use the
+scope, short ones keep OpenBLAS's own threads.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,11 +60,10 @@ def no_grad():
 # scope, while single sequences of 64-512 tokens scored slower there.
 CORES_MIN_LEN = 1024
 
-_SPLIT = 1     # slices per split: _CORES inside `cores()`, 1 outside it
+_SPLIT = 1     # slices per split: _CORES inside `cores()`, 1 outside it or in a slice
 _CORES = None  # BLAS threads counted at first use of `cores()`; 1 means off
 _BLAS = None   # (get_num_threads, set_num_threads) of numpy's OpenBLAS
 _POOL = None   # _CORES - 1 workers; the calling thread takes one slice
-_SLICE = threading.local()  # .inside: this thread is running a slice of `over`
 
 
 def _openblas():
@@ -93,11 +93,11 @@ def _openblas():
 
 @contextlib.contextmanager
 def cores():
-    """Run the block's attention on a pool of threads, one per BLAS thread
-    counted at first use, while OpenBLAS runs one thread; the count is
-    restored on exit. Does nothing when nested, when numpy's BLAS is not a
-    reachable OpenBLAS, or when it already runs one thread
-    (`OPENBLAS_NUM_THREADS=1` keeps the serial path)."""
+    """Run the block's `over` calls, so every row-wise op, on a pool of
+    threads, one per BLAS thread counted at first use, while OpenBLAS runs
+    one thread; the count is restored on exit. Does nothing when nested,
+    when numpy's BLAS is not a reachable OpenBLAS, or when it already runs
+    one thread (`OPENBLAS_NUM_THREADS=1` keeps the serial path)."""
     global _SPLIT, _CORES, _BLAS, _POOL
     if _CORES is None:
         _BLAS = _openblas()
@@ -124,34 +124,34 @@ def cores_for(length: int):
     return cores() if length >= CORES_MIN_LEN else contextlib.nullcontext()
 
 
-def _splitting() -> bool:
-    """Inside `cores()` and not inside a slice of `over`."""
-    return _SPLIT > 1 and not getattr(_SLICE, "inside", False)
-
-
-def over(n: int, fn: Callable[[int, int], None]) -> None:
-    """fn(lo, hi) over contiguous slices covering range(n): inside `cores()`
+def over(n: int, fn: Callable[[int, int], None], most: int | None = None) -> None:
+    """fn(lo, hi) over contiguous runs covering range(n): inside `cores()`
     one slice per pool thread and one on the calling thread, else the whole
-    range at once. A call made from inside a slice runs serially, as a
-    nested `cores()` does nothing, so it never waits on the pool it runs in."""
-    k = min(_SPLIT, n)
-    if k <= 1 or not _splitting():
-        fn(0, n)
-        return
+    range as one slice; each slice whole, or in runs of at most `most`
+    counted from its start. While the slices run, _SPLIT is 1, so a call
+    made from inside a slice runs serially, as a nested `cores()` does
+    nothing, and never waits on the pool it runs in."""
+    global _SPLIT
 
-    def run(lo, hi):
-        _SLICE.inside = True
-        try:
+    def runs(lo, hi):
+        if most is None:
             fn(lo, hi)
-        finally:
-            _SLICE.inside = False
+            return
+        for r in range(lo, hi, most):
+            fn(r, min(r + most, hi))
 
-    futures = [_POOL.submit(run, n * i // k, n * (i + 1) // k) for i in range(1, k)]
+    k = min(_SPLIT, n)
+    if k <= 1:
+        runs(0, n)
+        return
+    prev, _SPLIT = _SPLIT, 1
+    futures = [_POOL.submit(runs, n * i // k, n * (i + 1) // k) for i in range(1, k)]
     try:
-        run(0, n // k)
+        runs(0, n // k)
     finally:
         for f in futures:  # every worker finishes before anything unwinds
             f.exception()
+        _SPLIT = prev
     for f in futures:
         f.result()
 
@@ -241,7 +241,7 @@ def _split(fn: Callable, *arrays: np.ndarray, axis: int | None = None) -> None:
     that slice of every array: slices of `axis`, counted from the end as in
     broadcasting, or by default of the rows, every axis but the last
     flattened, for which the outputs among the arrays must be C-contiguous."""
-    if not _splitting():
+    if _SPLIT == 1:
         fn(*arrays)
         return
     if axis is None:
@@ -249,10 +249,6 @@ def _split(fn: Callable, *arrays: np.ndarray, axis: int | None = None) -> None:
     tail = (slice(None),) * (-axis - 1)
     over(arrays[0].shape[axis],
          lambda lo, hi: fn(*(a[(..., slice(lo, hi)) + tail] for a in arrays)))
-
-
-def _whole(fn: Callable, *arrays: np.ndarray) -> None:
-    fn(*arrays)
 
 
 # Rows per chunk, at most, of a row-wise block that `rows` runs without a
@@ -277,18 +273,17 @@ def rows(fn: Callable[[Tensor], Tensor], x: Tensor) -> Tensor:
         return fn(x)
     out = np.empty_like(x2)
 
-    def chunks(c0, c1):
-        for c in range(c0, c1):
-            lo, hi = n * c // k, n * (c + 1) // k
-            out[lo:hi] = fn(Tensor(x2[lo:hi])).data
+    def chunk(c, _):
+        lo, hi = n * c // k, n * (c + 1) // k
+        out[lo:hi] = fn(Tensor(x2[lo:hi])).data
 
-    over(k, chunks)
+    over(k, chunk, 1)
     return Tensor(out.reshape(x.data.shape))
 
 
 def _ufunc(f: np.ufunc, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """f(x, y), split over rows inside `cores()` when x and y have one shape."""
-    if x.shape != y.shape or x.ndim == 0 or not _splitting():
+    if x.shape != y.shape or x.ndim == 0 or _SPLIT == 1:
         return f(x, y)
     out = np.empty(x.shape, np.result_type(x, y))
     _split(lambda xs, ys, outs: f(xs, ys, out=outs), x, y, out)
@@ -403,16 +398,6 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 GATE_BLOCK = 1 << 14
 
 
-def _by_blocks(fn: Callable) -> Callable:
-    """fn run over successive blocks of rows of its 2-D arguments, each
-    block GATE_BLOCK elements or one row."""
-    def run(*arrays):
-        step = max(1, GATE_BLOCK // arrays[0].shape[1])
-        for lo in range(0, len(arrays[0]), step):
-            fn(*(a[lo:lo + step] for a in arrays))
-    return run
-
-
 def swiglu(a: Tensor, b: Tensor) -> Tensor:
     """silu(a) * b = a * sigmoid(a) * b, the gate of a SwiGLU feed-forward
     block; a and b share shape and dtype. The backward keeps only a and b
@@ -422,21 +407,25 @@ def swiglu(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"swiglu operands disagree: {x.shape}, {y.shape}")
     x2, y2 = x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1])
     out = np.empty(x2.shape, x.dtype)
+    block = max(1, GATE_BLOCK // x2.shape[1])  # rows per block
 
-    def forward(xs, ys, outs):
+    def forward(lo, hi):
         # one buffer: the sigmoid, then silu = a * sigmoid (the product
         # commutes bitwise), then the gate product
+        xs, outs = x2[lo:hi], out[lo:hi]
         _sigmoid(xs, out=outs)
         outs *= xs
-        outs *= ys
+        outs *= y2[lo:hi]
 
-    _split(_by_blocks(forward), x2, y2, out)
+    over(len(x2), forward, block)
     na, nb = a.node, b.node
 
     def bwd(g):
+        g2 = g.reshape(x2.shape)
         da, db = np.empty(x2.shape, x.dtype), np.empty(x2.shape, x.dtype)
 
-        def backward(xs, ys, gs, das, dbs):
+        def backward(lo, hi):
+            xs, ys, gs, das, dbs = (z[lo:hi] for z in (x2, y2, g2, da, db))
             sig = _sigmoid(xs)
             np.multiply(gs, xs * sig, out=dbs)  # g * silu(a)
             # d silu / da = sig * (1 + a * (1 - sig)), times g * b
@@ -446,7 +435,7 @@ def swiglu(a: Tensor, b: Tensor) -> Tensor:
             das *= sig
             das *= gs * ys
 
-        _split(_by_blocks(backward), x2, y2, g.reshape(x2.shape), da, db)
+        over(len(x2), backward, block)
         _accum(na, da.reshape(x.shape))
         _accum(nb, db.reshape(x.shape))
 
@@ -489,21 +478,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim != 2 or ad.shape[-1] != bd.shape[0]:
         raise ShapeError(f"matmul needs (..., k) @ (k, n), got {ad.shape} @ {bd.shape}")
-    split = _split if min(bd.shape) >= GEMM_SPLIT_MIN else _whole
+
+    def gemm(x, y, o):  # x @ y into o, split over rows when the weight is wide
+        if min(bd.shape) < GEMM_SPLIT_MIN:
+            np.matmul(x, y, out=o)
+        else:
+            _split(lambda xs, os: np.matmul(xs, y, out=os), x, o)
+
     a2 = ad.reshape(-1, ad.shape[-1])  # one GEMM over the stack of rows
     out = np.empty((len(a2), bd.shape[1]), np.result_type(ad, bd))
-    split(lambda rows, o: np.matmul(rows, bd, out=o), a2, out)
+    gemm(a2, bd, out)
     na, nb, sa = a.node, b.node, ad.shape
 
     def bwd(g):
         g2 = g.reshape(-1, bd.shape[1])
         if na.requires_grad:
             da = np.empty(a2.shape, np.result_type(g, bd))
-            split(lambda rows, o: np.matmul(rows, bd.T, out=o), g2, da)
+            gemm(g2, bd.T, da)
             _accum(na, da.reshape(sa))
         if nb.requires_grad:
             db = np.empty(bd.shape, np.result_type(a2, g))
-            split(lambda cols, o: np.matmul(cols, g2, out=o), a2.T, db)
+            gemm(a2.T, g2, db)  # dW over its own rows
             _accum(nb, db)
 
     return _result(out.reshape(*sa[:-1], bd.shape[1]), (na, nb), bwd)
@@ -611,18 +606,6 @@ def _block_scores(q_blk: np.ndarray, k_t: np.ndarray, i0: int, i1: int) -> np.nd
     return s
 
 
-def _over_heads(n: int, t: int, fn: Callable[[int, int], None]) -> None:
-    """fn(h0, h1) over groups of the n heads, the groups sized from t alone
-    (TILE_SCORES), inside each slice of `over`."""
-    size = max(1, TILE_SCORES // (BLOCK * t))
-
-    def groups(h0, h1):
-        for g in range(h0, h1, size):
-            fn(g, min(g + size, h1))
-
-    over(n, groups)
-
-
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, head_scale: float) -> Tensor:
     """softmax(Q K^T * head_scale + causal mask) V over (B, H, t, d) inputs.
 
@@ -650,6 +633,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, head_scale: float) -> Tens
     v2 = np.ascontiguousarray(v.data.reshape(n, t, d))
     k_t = k2.transpose(0, 2, 1)
     blocks = [(i0, min(i0 + BLOCK, t)) for i0 in range(0, t, BLOCK)]
+    heads_per_tile = max(1, TILE_SCORES // (BLOCK * t))
 
     out = np.empty_like(q2)
     lse = np.empty((n, t), dtype=q2.dtype)
@@ -666,7 +650,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, head_scale: float) -> Tens
             o /= denom
             lse[h0:h1, i0:i1] = (m + np.log(denom))[..., 0]
 
-    _over_heads(n, t, forward)
+    over(n, forward, heads_per_tile)
     nq, nk, nv = q.node, k.node, v.node
 
     def bwd(g):
@@ -691,7 +675,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, head_scale: float) -> Tens
                 np.matmul(ds, kh[:, :i1], out=dq[h0:h1, i0:i1])
                 dk[h0:h1, :i1] += np.matmul(ds.transpose(0, 2, 1), q_blk)
 
-        _over_heads(n, t, backward_heads)
+        over(n, backward_heads, heads_per_tile)
         dq *= scale
         _accum(nq, dq.reshape(B, H, t, d))
         _accum(nk, dk.reshape(B, H, t, d))

@@ -120,11 +120,12 @@ def grad_global_norm(grads: dict[str, np.ndarray]) -> float:
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients in place so the global L2 norm is at most
-    max_norm; returns the norm before clipping."""
+    max_norm; returns the norm before clipping. A non-finite norm leaves
+    the gradients as they are."""
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
     total = grad_global_norm(grads)
-    if total > max_norm or math.isnan(total):
+    if max_norm < total < math.inf:
         factor = max_norm / total
         for g in grads.values():
             g *= np.asarray(factor, dtype=g.dtype)
@@ -134,13 +135,11 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
 def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
                state: AdamState, step: int, lr: float, cfg: TrainConfig) -> None:
     """One decoupled-weight-decay Adam update; `step` is 1-based for the
-    bias correction. Raises TrainingDivergedError on NaN gradients."""
+    bias correction."""
     bc1 = 1.0 - cfg.beta1 ** step
     bc2 = 1.0 - cfg.beta2 ** step
     for name, p in params.items():
         g = grads[name]
-        if np.isnan(g).any():
-            raise TrainingDivergedError(f"NaN gradient in {name}", step)
         m = state.m[name]
         v = state.v[name]
         m *= cfg.beta1
@@ -159,12 +158,18 @@ def optimizer_step(loss: Tensor | None, params: dict[str, Tensor], state: AdamSt
     clip the gradients to cfg.max_grad_norm, take one AdamW step at
     lr_at(step, cfg) and zero the gradients. Parameters the loss does not
     reach get zero gradients. `step` is 1-based; returns the gradient norm
-    before clipping."""
+    before clipping. A NaN or infinite norm raises TrainingDivergedError
+    naming the first parameter whose gradient holds one, before any update."""
     if loss is not None:
         K.backward(loss)
     grads = {n: (p.grad if p.grad is not None else np.zeros_like(p.data))
              for n, p in params.items()}
     norm = clip_global_norm(grads, cfg.max_grad_norm)
+    if not math.isfinite(norm):
+        kind, holds = ("NaN", math.isnan) if math.isnan(norm) else ("infinite", math.isinf)
+        where = next((f" in {n}" for n, g in grads.items()
+                      if holds(grad_global_norm({n: g}))), " norm")
+        raise TrainingDivergedError(f"{kind} gradient{where}", step)
     adamw_step(params, grads, state, step, lr_at(step, cfg), cfg)
     # zeroed in place, so the next backward accumulates into the same
     # buffers: freeing and reallocating them every step made training

@@ -100,15 +100,15 @@ def extension_run():
                              lr_peak=2e-3, lr_min=2e-4, weight_decay=0.05, seed=0)
     base, _ = TR.train_stage(base_cfg, base_tc, w128, data_seed=1, init_seed=1)
 
-    ppl128, _ = E.perplexity(base.build_model(), e128)
+    ppl128 = E.report_row("", 0, base.build_model(), e128).ppl
     wide = dataclasses.replace(
         base, model_config=dataclasses.replace(base.model_config, max_seq_len=512))
-    ppl512_pre, _ = E.perplexity(wide.build_model(), e512)
+    ppl512_pre = E.report_row("", 0, wide.build_model(), e512).ppl
 
     ext_tc = TR.TrainConfig(batch_size=4, total_iters=300, warmup_iters=20,
                             lr_peak=1e-3, lr_min=1e-4, weight_decay=0.05, seed=0)
     ext, _ = TR.extend_context(base, 512, 10000.0 * 16, ext_tc, w512)
-    ppl512_post, _ = E.perplexity(ext.build_model(), e512)
+    ppl512_post = E.report_row("", 0, ext.build_model(), e512).ppl
     return {"ppl128": ppl128, "ppl512_pre": ppl512_pre,
             "ppl512_post": ppl512_post, "base": base, "ext": ext,
             "seconds": time.time() - t0}
@@ -184,7 +184,8 @@ def test_criterion_2_perplexity_identities():
     rng = np.random.default_rng(7)
     seqs = [rng.integers(2, 6, size=200) for _ in range(25)]
     seqs[0][50:60] = T.UNK_ID  # masked targets must not contribute
-    ppl, mean_nll = E.perplexity(UniformOverBases(), seqs)
+    row = E.report_row("", 0, UniformOverBases(), seqs)
+    ppl, mean_nll = row.ppl, row.mean_nll
     uniform_ok = abs(ppl - 4.0) < 1e-6
 
     model = LanguageModel.init(
@@ -215,7 +216,7 @@ def test_criterion_3_memorization():
                         lr_peak=3e-3, lr_min=3e-4, weight_decay=0.0, seed=0)
     ckpt, rows = TR.train_stage(cfg, tc, ids, data_seed=0, init_seed=0)
     final_ppl = rows[-1]["ppl"]
-    train_ppl, _ = E.perplexity(ckpt.build_model(), [ids[0]])
+    train_ppl = E.report_row("", 0, ckpt.build_model(), [ids[0]]).ppl
     elapsed = time.time() - t0
     record_acceptance(
         3, "desk-default model memorizes one 256-token window in 300 steps",

@@ -372,7 +372,24 @@ class TestUsageErrors:
                   "--train-dataset", str(tsv), "--test-dataset", str(tsv), "--seed", "-1",
                   "--out", str(tmp_path / "m.json")])
         assert rc == 2
-        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert "--seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lr", "-1", "--lr must be a finite number >= 0, got -1.0"),
+        ("--lr", "nan", "--lr must be a finite number >= 0, got nan"),
+        ("--lr", "inf", "--lr must be a finite number >= 0, got inf"),
+        ("--seed", "-1", "--seed must be an integer >= 0, got -1"),
+    ])
+    def test_finetune_bad_rate_or_seed_exits_2_naming_the_flag(self, prepared, tmp_path, rng,
+                                                               capsys, flag, value, message):
+        tsv = tmp_path / "d.tsv"
+        write_dataset(tsv, rng)
+        rc = run(["finetune", "--checkpoint", str(prepared / "run" / "checkpoint.bin"),
+                  "--train-dataset", str(tsv), "--test-dataset", str(tsv), flag, value,
+                  "--out-dir", str(tmp_path / "ft")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and "lr_peak" not in err
 
     def test_sweep_non_integer_length_exits_2_naming_the_flag(self, prepared, tmp_path, capsys):
         rc = run(["sweep", "--checkpoints", str(prepared / "run" / "checkpoint.bin"),

@@ -71,10 +71,10 @@ def recording_over(monkeypatch):
     splits = []
     over = K.over
 
-    def recording(n, fn):
-        if K._splitting():
+    def recording(n, fn, most=None):
+        if K._SPLIT > 1:  # inside `cores()` and not inside a slice
             splits.append(n)
-        over(n, fn)
+        over(n, fn, most)
 
     monkeypatch.setattr(K, "over", recording)
     return splits
@@ -172,6 +172,32 @@ class TestScope:
         with K.cores(), pytest.raises(ZeroDivisionError):
             K.over(4 * BLAS_THREADS, fail_off_the_calling_thread)
         assert done == [0]
+
+    @needs_split
+    def test_split_restored_after_a_slice_raises(self):
+        """A failed split leaves _SPLIT as it found it, so the next `over`
+        in the scope still runs a slice on a pool thread."""
+        with K.cores():
+            with pytest.raises(ZeroDivisionError):
+                K.over(4 * BLAS_THREADS, lambda lo, hi: 1 / lo)
+            assert K._SPLIT == BLAS_THREADS
+            threads = set()
+            K.over(4 * BLAS_THREADS, lambda lo, hi: threads.add(threading.get_ident()))
+        assert len(threads) == BLAS_THREADS
+
+    def test_runs_are_bounded_from_each_slice_start(self):
+        runs = []
+        K.over(10, lambda lo, hi: runs.append((lo, hi)), 3)
+        assert runs == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        runs.clear()
+        with K.cores():
+            K.over(10, lambda lo, hi: runs.append((lo, hi)), 3)
+        k = min(BLAS_THREADS, 10)  # slices; one where cores() keeps the serial path
+        want = [(r, min(r + 3, 10 * (i + 1) // k))
+                for i in range(k) for r in range(10 * i // k, 10 * (i + 1) // k, 3)]
+        assert sorted(runs) == want
+        if k == 2:
+            assert want == [(0, 3), (3, 5), (5, 8), (8, 10)]
 
     def test_serial_outside_the_scope(self):
         threads = set()
@@ -355,7 +381,7 @@ class TestRowSplit:
         splits = recording_over(monkeypatch)
         with K.cores():  # one OpenBLAS thread for both
             split = gemm(a, w, g)
-            monkeypatch.setattr(K, "_split", K._whole)
+            monkeypatch.setattr(K, "_split", lambda fn, *arrays, **_: fn(*arrays))
             whole = gemm(a, w, g)
         assert splits == [rows, rows, k]  # forward and dX over rows, dW over its rows
         for x, y in zip(split, whole):
@@ -418,10 +444,10 @@ class TestHalves:
         halves = []
         over = K.over
 
-        def counting_over(n, fn):
-            if K._SPLIT > 1 and not getattr(K._SLICE, "inside", False):
+        def counting_over(n, fn, most=None):
+            if K._SPLIT > 1:
                 halves.append(n)  # a split outside any slice: the step's halves
-            over(n, fn)
+            over(n, fn, most)
 
         monkeypatch.setattr(K, "CORES_MIN_LEN", 1)  # halves of 128 tokens split too
         monkeypatch.setattr(K, "over", counting_over)

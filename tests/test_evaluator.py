@@ -45,7 +45,8 @@ class MemorizingStub:
 class TestPerplexity:
     def test_uniform_logit_model_ppl_4(self, rng):
         seqs = [rng.integers(2, 6, size=100) for _ in range(20)]
-        ppl, mean_nll = E.perplexity(uniform_over_bases(), seqs)
+        row = E.report_row("", 0, uniform_over_bases(), seqs)
+        ppl, mean_nll = row.ppl, row.mean_nll
         assert abs(ppl - 4.0) < 1e-6
         assert abs(mean_nll - math.log(4)) < 1e-9
 
@@ -53,7 +54,7 @@ class TestPerplexity:
         seq = rng.integers(2, 6, size=60)
         seq[10:20] = T.UNK_ID
         seq[30:35] = T.PAD_ID
-        ppl, _ = E.perplexity(uniform_over_bases(), [seq])
+        ppl = E.report_row("", 0, uniform_over_bases(), [seq]).ppl
         assert abs(ppl - 4.0) < 1e-6
 
     def test_exp_log_identity(self, rng):
@@ -61,12 +62,13 @@ class TestPerplexity:
             ModelConfig(hidden=16, n_layers=1, n_heads=2, ffn_dim=24,
                         max_seq_len=64), seed=0)
         seqs = [rng.integers(2, 6, size=40) for _ in range(5)]
-        ppl, mean_nll = E.perplexity(model, seqs)
+        row = E.report_row("", 0, model, seqs)
+        ppl, mean_nll = row.ppl, row.mean_nll
         assert abs(ppl - math.exp(mean_nll)) < 1e-9 * ppl
 
     def test_memorizing_model_approaches_one(self, rng):
         ids = rng.integers(2, 6, size=200)
-        ppl, _ = E.perplexity(MemorizingStub(ids), [ids])
+        ppl = E.report_row("", 0, MemorizingStub(ids), [ids]).ppl
         assert ppl < 1.05
 
     def test_pooling_matches_bruteforce(self, rng):
@@ -87,7 +89,7 @@ class TestPerplexity:
                 logp = row - (row.max() + math.log(np.exp(row - row.max()).sum()))
                 nlls.append(-logp[target])
         want = math.exp(sum(nlls) / len(nlls))
-        got, _ = E.perplexity(model, seqs)
+        got = E.report_row("", 0, model, seqs).ppl
         assert abs(got - want) < 1e-9 * want
 
     def test_adding_worse_sequence_increases_ppl(self, rng):
@@ -102,17 +104,17 @@ class TestPerplexity:
                     return stub.logits(ids)
                 return np.zeros((len(ids), 6))  # uniform over 6: worse
 
-        ppl_one, _ = E.perplexity(Mixed(), [good])
-        ppl_two, _ = E.perplexity(Mixed(), [good, rng.integers(2, 6, size=100)])
+        ppl_one = E.report_row("", 0, Mixed(), [good]).ppl
+        ppl_two = E.report_row("", 0, Mixed(), [good, rng.integers(2, 6, size=100)]).ppl
         assert ppl_two > ppl_one
 
     def test_short_sequence_rejected(self):
         with pytest.raises(ValueError):
-            E.perplexity(uniform_over_bases(), [np.array([2])])
+            E.report_row("", 0, uniform_over_bases(), [np.array([2])])
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            E.perplexity(uniform_over_bases(), [])
+            E.report_row("", 0, uniform_over_bases(), [])
 
     def test_shard_array_scores_like_a_list(self, tmp_path, rng):
         ids = rng.integers(2, 6, size=(3, 20)).astype(np.uint8)
@@ -127,7 +129,7 @@ class TestPerplexity:
         stub = uniform_over_bases()
         stub.max_seq_len = 16
         with pytest.raises(ContextOverflowError):
-            E.perplexity(stub, [rng.integers(2, 6, size=17)])
+            E.report_row("", 0, stub, [rng.integers(2, 6, size=17)])
 
 class TestScoringRule:
     def test_next_token_targets_masks_last_and_pad_unk(self, rng):
@@ -161,18 +163,18 @@ class TestScoringRule:
 class TestReconstructionAccuracy:
     def test_memorizing_model(self, rng):
         ids = rng.integers(2, 6, size=300)
-        assert E.reconstruction_accuracy(MemorizingStub(ids), [ids]) > 0.99
+        assert E.report_row("", 0, MemorizingStub(ids), [ids]).recon_acc > 0.99
 
     def test_uniform_model_chance_level(self, rng):
         # ties broken toward the lowest id: the model always predicts 'A',
         # so accuracy is the empirical frequency of A targets (~0.25)
         seqs = [rng.integers(2, 6, size=501) for _ in range(30)]
-        acc = E.reconstruction_accuracy(uniform_over_bases(), seqs)
+        acc = E.report_row("", 0, uniform_over_bases(), seqs).recon_acc
         assert abs(acc - 0.25) < 0.02
 
     def test_tie_break_is_lowest_id(self):
         seq = np.array([2, 2, 2, 2, 2])  # all 'A'
-        acc = E.reconstruction_accuracy(uniform_over_bases(), [seq])
+        acc = E.report_row("", 0, uniform_over_bases(), [seq]).recon_acc
         assert acc == 1.0
 
 
@@ -189,9 +191,9 @@ class TestLengthSweep:
         row = report.rows[0]
         ws = G.extract_windows([rec], 32)
         seqs = [T.encode(w) for w in ws.windows]
-        ppl, mean_nll = E.perplexity(model, seqs)
-        assert row.ppl == ppl and row.mean_nll == mean_nll
-        assert row.recon_acc == E.reconstruction_accuracy(model, seqs)
+        direct = E.report_row("", 0, model, seqs)
+        assert row.ppl == direct.ppl and row.mean_nll == direct.mean_nll
+        assert row.recon_acc == direct.recon_acc
         assert row.n_sequences == len(seqs)
 
     def test_cross_product_with_unsupported(self):

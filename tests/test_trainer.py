@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -133,15 +134,6 @@ class TestAdamW:
         TR.adamw_step(p, {"w": np.zeros(2, dtype=np.float32)}, state, 1, lr, cfg)
         assert np.array_equal(p["w"].data, expected)
 
-    def test_nan_gradient_diverges(self):
-        cfg = TR.TrainConfig()
-        p = {"w": K.Tensor(np.array([1.0], dtype=np.float32))}
-        state = TR.AdamState(p)
-        with pytest.raises(TrainingDivergedError) as exc:
-            TR.adamw_step(p, {"w": np.array([np.nan], dtype=np.float32)},
-                          state, 7, 1e-3, cfg)
-        assert exc.value.step == 7
-
 
 class TestClip:
     def test_under_cap_unchanged(self):
@@ -171,6 +163,37 @@ class TestClip:
 
 
 class TestOptimizerStep:
+    @pytest.mark.parametrize("max_grad_norm", [1.0, math.inf])
+    @pytest.mark.parametrize("bad, kind", [(np.nan, "NaN"), (np.inf, "infinite"),
+                                           (-np.inf, "infinite")])
+    def test_non_finite_gradient_diverges_naming_it(self, max_grad_norm, bad, kind):
+        """Caught from the norm before the clip, so no `inf * 0` warning, and
+        named for the first parameter whose gradient holds one."""
+        cfg = TR.TrainConfig(max_grad_norm=max_grad_norm, total_iters=10, warmup_iters=1)
+        params = {n: K.Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+                  for n in ("a", "w", "z")}
+        params["a"].grad = np.array([0.5, 1.0], dtype=np.float32)
+        params["w"].grad = np.array([bad, 1.0], dtype=np.float32)
+        params["z"].grad = np.array([bad, bad], dtype=np.float32)
+        state = TR.AdamState(params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError) as exc:
+                TR.optimizer_step(None, params, state, 7, cfg)
+        assert exc.value.step == 7
+        assert f"{kind} gradient in w" in str(exc.value)
+        for p in params.values():  # no update was taken
+            assert np.array_equal(p.data, np.ones(2, dtype=np.float32))
+
+    def test_nan_named_over_an_earlier_infinite_gradient(self):
+        cfg = TR.TrainConfig(total_iters=10, warmup_iters=1)
+        params = {n: K.Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+                  for n in ("a", "w")}
+        params["a"].grad = np.array([np.inf, 1.0], dtype=np.float32)
+        params["w"].grad = np.array([np.nan, 1.0], dtype=np.float32)
+        with pytest.raises(TrainingDivergedError, match="NaN gradient in w"):
+            TR.optimizer_step(None, params, TR.AdamState(params), 1, cfg)
+
     def test_matches_backward_clip_adamw_by_hand(self, rng):
         cfg = TR.TrainConfig(total_iters=10, warmup_iters=2, max_grad_norm=0.01)
         x = rng.standard_normal((5, 3)).astype(np.float32)
