@@ -267,8 +267,9 @@ def cmd_embed(args) -> int:
     ckpt = TR.load_checkpoint(args.checkpoint)
     model = ckpt.build_model()
     ds = D.load_labeled_dataset(args.dataset)
-    X = D.embed_dataset(model, ds.sequences, pooling=args.pooling,
-                        layer=args.layer)
+    # the model checks the layer before its first op
+    X = _naming({}, functools.partial(D.embed_dataset, model, ds.sequences,
+                                      pooling=args.pooling), layer=args.layer)
     # np.save's rule: a name without the .npy suffix gets it appended
     out = args.out if args.out.endswith(".npy") else args.out + ".npy"
     with atomic_write(out, "wb") as f:
@@ -278,15 +279,15 @@ def cmd_embed(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    _naming({}, TR.TrainConfig, seed=args.seed)  # train_probe's rule, before any file
     ckpt = TR.load_checkpoint(args.checkpoint)
     model = ckpt.build_model()
     train_ds = D.load_labeled_dataset(args.train_dataset)
     test_ds = D.load_labeled_dataset(args.test_dataset)
     Xtr = D.embed_dataset(model, train_ds.sequences, pooling=args.pooling)
     Xte = D.embed_dataset(model, test_ds.sequences, pooling=args.pooling)
-    record = _naming({}, functools.partial(D.train_probe, Xtr, train_ds.targets, Xte,
-                                           test_ds.targets, n_classes=train_ds.n_classes),
-                     seed=args.seed)
+    record = D.train_probe(Xtr, train_ds.targets, Xte, test_ds.targets,
+                           n_classes=train_ds.n_classes, seed=args.seed)
     record["task"] = train_ds.task_kind
     D.write_metrics(record, args.out)
     print(json.dumps(record, sort_keys=True))
@@ -294,17 +295,19 @@ def cmd_probe(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    if args.batch_size < 1:
-        raise GenelmError(f"--batch-size must be >= 1, got {args.batch_size}")
     if args.epochs < 1:
         raise GenelmError(f"--epochs must be >= 1, got {args.epochs}")
+
+    def config(steps_per_epoch: int) -> TR.TrainConfig:
+        return _naming({"lr_peak": "--lr"}, TR.finetune_config,
+                       total_iters=args.epochs * steps_per_epoch, batch_size=args.batch_size,
+                       lr=args.lr, schedule=args.schedule, seed=args.seed)
+
+    config(1)  # a bad flag exits before any file is read
     ckpt = TR.load_checkpoint(args.checkpoint)
     train_ds = D.load_labeled_dataset(args.train_dataset)
     test_ds = D.load_labeled_dataset(args.test_dataset)
-    steps_per_epoch = max(1, -(-len(train_ds) // args.batch_size))
-    cfg = _naming({"lr_peak": "--lr"}, TR.finetune_config,
-                  total_iters=args.epochs * steps_per_epoch, batch_size=args.batch_size,
-                  lr=args.lr, schedule=args.schedule, seed=args.seed)
+    cfg = config(max(1, -(-len(train_ds) // args.batch_size)))
     metrics, finetuned = D.finetune_classify(ckpt, train_ds, test_ds, mode=args.mode,
                                              config=cfg, head_seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)

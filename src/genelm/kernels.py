@@ -15,19 +15,20 @@ All arithmetic is 32-bit by default; building a graph from float64 arrays
 yields a float64 graph (used by tests that want a high-precision oracle).
 
 Inside `cores()`, OpenBLAS runs one thread and `over` splits work over a
-thread pool instead, with bit-identical results: every row-wise op splits its
-rows (each slice writes its part of a preallocated output), `rows` its
-chunks, attention its heads, and training its batch (`trainer.train_stage`).
-In or out of the scope, `over`'s run bound cuts each slice into runs counted
-from its start: attention's head groups, the SwiGLU gate's row blocks and
-`rows`' chunks. Long sequences and training halves (`cores_for`) use the
-scope, short ones keep OpenBLAS's own threads.
+pool of one thread per CPU the process may use, with bit-identical results:
+every row-wise op splits its rows (each slice writes its part of a
+preallocated output), `rows` its chunks, attention its heads, and training
+its batch (`trainer.train_stage`). In or out of the scope, `over`'s run bound
+cuts each slice into runs counted from its start: attention's head groups,
+the SwiGLU gate's row blocks and `rows`' chunks. Long sequences and training
+halves (`cores_for`) use the scope, short ones OpenBLAS's own threads.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import os
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,7 +51,7 @@ def no_grad():
 
 
 # ---------------------------------------------------------------------------
-# both cores for long sequences
+# every CPU for long sequences
 # ---------------------------------------------------------------------------
 
 # Tokens from which `cores_for` enters `cores()`: a single sequence's length,
@@ -60,8 +61,8 @@ def no_grad():
 # scope, while single sequences of 64-512 tokens scored slower there.
 CORES_MIN_LEN = 1024
 
-_SPLIT = 1     # slices per split: _CORES inside `cores()`, 1 outside it or in a slice
-_CORES = None  # BLAS threads counted at first use of `cores()`; 1 means off
+_SPLIT = 1     # slices per split: _CORES inside `cores()`, 0 in one of its slices, else 1
+_CORES = None  # CPUs counted at first use of `cores()`; 1 means off
 _BLAS = None   # (get_num_threads, set_num_threads) of numpy's OpenBLAS
 _POOL = None   # _CORES - 1 workers; the calling thread takes one slice
 
@@ -94,21 +95,21 @@ def _openblas():
 @contextlib.contextmanager
 def cores():
     """Run the block's `over` calls, so every row-wise op, on a pool of
-    threads, one per BLAS thread counted at first use, while OpenBLAS runs
-    one thread; the count is restored on exit. Does nothing when nested,
-    when numpy's BLAS is not a reachable OpenBLAS, or when it already runs
-    one thread (`OPENBLAS_NUM_THREADS=1` keeps the serial path)."""
+    threads, one per CPU the process may use (`os.sched_getaffinity`, counted
+    at first use), while OpenBLAS runs one thread; its count is restored on
+    exit. Does nothing when nested, when there is one CPU, or when numpy's
+    BLAS is not a reachable OpenBLAS."""
     global _SPLIT, _CORES, _BLAS, _POOL
     if _CORES is None:
         _BLAS = _openblas()
-        _CORES = _BLAS[0]() if _BLAS else 1
+        _CORES = len(os.sched_getaffinity(0)) if _BLAS else 1
         if _CORES > 1:
             from concurrent.futures import ThreadPoolExecutor
             _POOL = ThreadPoolExecutor(_CORES - 1, thread_name_prefix="genelm-core")
-    threads = _BLAS[0]() if _CORES > 1 else 1
-    if _SPLIT > 1 or threads < 2:  # nested, or BLAS already serial
+    if _SPLIT != 1 or _CORES < 2:  # nested, or one CPU
         yield
         return
+    threads = _BLAS[0]()
     _BLAS[1](1)
     _SPLIT = _CORES
     try:
@@ -128,7 +129,7 @@ def over(n: int, fn: Callable[[int, int], None], most: int | None = None) -> Non
     """fn(lo, hi) over contiguous runs covering range(n): inside `cores()`
     one slice per pool thread and one on the calling thread, else the whole
     range as one slice; each slice whole, or in runs of at most `most`
-    counted from its start. While the slices run, _SPLIT is 1, so a call
+    counted from its start. While the slices run, _SPLIT is 0, so a call
     made from inside a slice runs serially, as a nested `cores()` does
     nothing, and never waits on the pool it runs in."""
     global _SPLIT
@@ -144,7 +145,7 @@ def over(n: int, fn: Callable[[int, int], None], most: int | None = None) -> Non
     if k <= 1:
         runs(0, n)
         return
-    prev, _SPLIT = _SPLIT, 1
+    prev, _SPLIT = _SPLIT, 0
     futures = [_POOL.submit(runs, n * i // k, n * (i + 1) // k) for i in range(1, k)]
     try:
         runs(0, n // k)
@@ -241,7 +242,7 @@ def _split(fn: Callable, *arrays: np.ndarray, axis: int | None = None) -> None:
     that slice of every array: slices of `axis`, counted from the end as in
     broadcasting, or by default of the rows, every axis but the last
     flattened, for which the outputs among the arrays must be C-contiguous."""
-    if _SPLIT == 1:
+    if _SPLIT < 2:
         fn(*arrays)
         return
     if axis is None:
@@ -283,7 +284,7 @@ def rows(fn: Callable[[Tensor], Tensor], x: Tensor) -> Tensor:
 
 def _ufunc(f: np.ufunc, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """f(x, y), split over rows inside `cores()` when x and y have one shape."""
-    if x.shape != y.shape or x.ndim == 0 or _SPLIT == 1:
+    if x.shape != y.shape or x.ndim == 0 or _SPLIT < 2:
         return f(x, y)
     out = np.empty(x.shape, np.result_type(x, y))
     _split(lambda xs, ys, outs: f(xs, ys, out=outs), x, y, out)
@@ -361,16 +362,6 @@ def sum_axis(a: Tensor, axis: int) -> Tensor:
 
     def bwd(g):
         _accum(na, np.repeat(np.expand_dims(g, axis), n, axis=axis))
-
-    return _result(out, (na,), bwd)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = np.asarray(a.data.sum(), dtype=a.data.dtype)
-    na, sa = a.node, a.shape
-
-    def bwd(g):
-        _accum(na, np.broadcast_to(g, sa).astype(na.dtype))
 
     return _result(out, (na,), bwd)
 

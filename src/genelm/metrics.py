@@ -15,15 +15,21 @@ def _ints(x) -> np.ndarray:
     return np.asarray(x, dtype=np.int64).ravel()
 
 
-def accuracy(preds, targets) -> float:
+def _labels(preds, targets) -> tuple[np.ndarray, np.ndarray]:
+    """preds and targets as flat int64 arrays of one length, at least 1."""
     p, t = _ints(preds), _ints(targets)
     if len(p) != len(t) or len(p) == 0:
         raise ValueError("need equal-length non-empty predictions and targets")
+    return p, t
+
+
+def accuracy(preds, targets) -> float:
+    p, t = _labels(preds, targets)
     return float((p == t).mean())
 
 
 def _binary_counts(preds, targets) -> tuple[int, int, int, int]:
-    p, t = _ints(preds), _ints(targets)
+    p, t = _labels(preds, targets)
     tp = int(((p == 1) & (t == 1)).sum())
     tn = int(((p == 0) & (t == 0)).sum())
     fp = int(((p == 1) & (t == 0)).sum())
@@ -47,9 +53,7 @@ def mcc(preds, targets) -> float | None:
     Returns None when a marginal is zero (all predictions or all targets
     fall in one class), where the coefficient is undefined.
     """
-    p, t = _ints(preds), _ints(targets)
-    if len(p) != len(t) or len(p) == 0:
-        raise ValueError("need equal-length non-empty predictions and targets")
+    p, t = _labels(preds, targets)
     classes = np.union1d(p, t)
     s = len(p)
     c = int((p == t).sum())
@@ -68,9 +72,7 @@ def f1(preds, targets, averaging: str = "binary",
     """F1 score. averaging: "binary" (class 1 is positive) or "macro"
     (unweighted mean of per-class F1). A class with no true or predicted
     members contributes an F1 of 0 to the macro mean."""
-    p, t = _ints(preds), _ints(targets)
-    if len(p) != len(t) or len(p) == 0:
-        raise ValueError("need equal-length non-empty predictions and targets")
+    p, t = _labels(preds, targets)
 
     def class_f1(k: int) -> float:
         tp = int(((p == k) & (t == k)).sum())

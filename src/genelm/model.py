@@ -229,16 +229,16 @@ class LanguageModel:
         """Hidden states (batch, t, hidden): the final-norm output by
         default, or the residual stream right after block `layer`."""
         cfg = self.config
+        if layer is not None and not 0 <= layer < cfg.n_layers:
+            raise ValueError(f"layer {layer} out of range for {cfg.n_layers} layers")
         ids = self._check_tokens(tokens)
         x = K.embedding(self.params["token_embedding"], ids)
         angles = self._rope(ids.shape[1], x.dtype)
         for i, lp in enumerate(self.layers):
             x = attention_block(x, lp, angles, cfg.n_heads, cfg.norm_eps)
             x = ffn_block(x, lp, cfg.norm_eps)
-            if layer is not None and layer == i:
+            if layer == i:
                 return x
-        if layer is not None:
-            raise ValueError(f"layer {layer} out of range for {cfg.n_layers} layers")
         return K.rmsnorm(x, self.params["final_norm_gain"], cfg.norm_eps)
 
     def forward(self, tokens: np.ndarray) -> Tensor:

@@ -3,8 +3,7 @@
 The vocabulary is fixed: PAD=0, UNK=1, A=2, C=3, G=4, T=5. Encoding maps
 each ASCII letter to one token, a lowercase (soft-masked) letter to the
 same token as its uppercase form; non-ACGT letters (IUPAC ambiguity codes)
-become UNK. Decoding is the inverse on {A,C,G,T}; UNK decodes to 'N' and
-PAD to the empty string.
+become UNK.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ _ENCODE = bytes(BASE_IDS.get(chr(c).upper(), UNK_ID) if chr(c) in string.ascii_l
                 else _INVALID for c in range(256))
 _ENCODE_BYTES = 1 << 17  # window characters encoded per batch
 
-_DECODE = {0: "", 1: "N", 2: "A", 3: "C", 4: "G", 5: "T"}
-
 
 def _translate(dna: str) -> bytes:
     """Token ids of dna as bytes, one per character."""
@@ -48,17 +45,6 @@ def encode(dna: str) -> np.ndarray:
     """Map an ASCII-letter string to a uint8 id array, one id per char;
     soft-masked lowercase bases get their uppercase ids."""
     return np.frombuffer(bytearray(_translate(dna)), dtype=np.uint8)
-
-
-def decode(ids) -> str:
-    """Inverse of encode on {A,C,G,T}; UNK -> 'N', PAD elided."""
-    out = []
-    for i in np.asarray(ids).ravel():
-        i = int(i)
-        if i >= VOCAB_SIZE or i < 0:
-            raise ValueError(f"token id {i} outside vocabulary of size {VOCAB_SIZE}")
-        out.append(_DECODE[i])
-    return "".join(out)
 
 
 def next_token_targets(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -122,7 +108,7 @@ def read_shard(path: str | os.PathLike) -> np.ndarray:
             n_windows = int(meta["n_windows"])
         except (KeyError, ValueError) as exc:
             raise ShardFormatError(f"{path}: bad header fields: {header!r}") from exc
-        if window_len < 1 or n_windows < 0:
+        if not (1 <= window_len <= np.iinfo(np.intp).max and n_windows >= 0):
             raise ShardFormatError(
                 f"{path}: header declares window_len={window_len} n_windows={n_windows}")
         expected = window_len * n_windows

@@ -355,7 +355,7 @@ def train_stage(model_config: ModelConfig, train_config: TrainConfig,
     [0, B//2) and [B//2, B), each with its own gradients; half 1's
     gradients are added to half 0's before the one clip and AdamW step.
     Halves of at least `K.CORES_MIN_LEN` tokens run at once inside
-    `K.cores()` (one after the other where OpenBLAS runs one thread),
+    `K.cores()` (one after the other where the process has one CPU),
     smaller ones one after the other on OpenBLAS's own threads. The split
     depends only on the batch size, so the loss curve is the same on any
     number of cores.

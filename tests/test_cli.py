@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import infinite_loss_checkpoint
 from genelm import cli
+from genelm import kernels as K
 from genelm import tokenizer as T
 from genelm import trainer as TR
 from genelm.errors import CheckpointFormatError, GenelmError
@@ -20,6 +21,10 @@ DATA = Path(__file__).parent / "data"
 
 def run(argv):
     return cli.main(argv)
+
+
+def no_forward(*args, **kwargs):
+    raise AssertionError("a model forward ran")
 
 
 def write_dataset(path, rng, n=12):
@@ -301,13 +306,13 @@ class TestUsageErrors:
             assert rc == 2
             assert "max_sequences must be >= 1" in capsys.readouterr().err
 
-    def test_finetune_batch_size_0_exits_2(self, prepared, tmp_path, capsys):
-        rc = run(["finetune", "--checkpoint", str(prepared / "run" / "checkpoint.bin"),
+    def test_finetune_batch_size_0_exits_2(self, tmp_path, capsys):
+        rc = run(["finetune", "--checkpoint", str(tmp_path / "missing.ckpt"),
                   "--train-dataset", str(tmp_path / "tr.tsv"),
                   "--test-dataset", str(tmp_path / "te.tsv"), "--batch-size", "0",
                   "--out-dir", str(tmp_path / "ft")])
         assert rc == 2
-        assert "--batch-size must be >= 1" in capsys.readouterr().err
+        assert "--batch-size must be an integer >= 1, got 0" in capsys.readouterr().err
 
     def test_non_finite_rate_exits_2(self, prepared, tmp_path, capsys):
         rc = run(["train", "--shards", str(prepared / "data" / "train.tokens"),
@@ -365,11 +370,12 @@ class TestUsageErrors:
         assert rc == 2
         assert f"{key} must be an integer >= 0, got {value}" in capsys.readouterr().err
 
-    def test_probe_negative_seed_exits_2_naming_it(self, prepared, tmp_path, rng, capsys):
-        tsv = tmp_path / "d.tsv"
-        write_dataset(tsv, rng)
-        rc = run(["probe", "--checkpoint", str(prepared / "run" / "checkpoint.bin"),
-                  "--train-dataset", str(tsv), "--test-dataset", str(tsv), "--seed", "-1",
+    def test_probe_negative_seed_exits_2_naming_it(self, tmp_path, monkeypatch, capsys):
+        """Before any file is read: the checkpoint and datasets are missing."""
+        monkeypatch.setattr(K, "embedding", no_forward)
+        rc = run(["probe", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                  "--train-dataset", str(tmp_path / "tr.tsv"),
+                  "--test-dataset", str(tmp_path / "te.tsv"), "--seed", "-1",
                   "--out", str(tmp_path / "m.json")])
         assert rc == 2
         assert "--seed must be an integer >= 0, got -1" in capsys.readouterr().err
@@ -380,16 +386,28 @@ class TestUsageErrors:
         ("--lr", "inf", "--lr must be a finite number >= 0, got inf"),
         ("--seed", "-1", "--seed must be an integer >= 0, got -1"),
     ])
-    def test_finetune_bad_rate_or_seed_exits_2_naming_the_flag(self, prepared, tmp_path, rng,
-                                                               capsys, flag, value, message):
-        tsv = tmp_path / "d.tsv"
-        write_dataset(tsv, rng)
-        rc = run(["finetune", "--checkpoint", str(prepared / "run" / "checkpoint.bin"),
-                  "--train-dataset", str(tsv), "--test-dataset", str(tsv), flag, value,
+    def test_finetune_bad_rate_or_seed_exits_2_naming_the_flag(self, tmp_path, capsys, flag,
+                                                               value, message):
+        """Before any file is read: the checkpoint and datasets are missing."""
+        rc = run(["finetune", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                  "--train-dataset", str(tmp_path / "tr.tsv"),
+                  "--test-dataset", str(tmp_path / "te.tsv"), flag, value,
                   "--out-dir", str(tmp_path / "ft")])
         assert rc == 2
         err = capsys.readouterr().err
         assert message in err and "lr_peak" not in err
+
+    @pytest.mark.parametrize("layer", ["1", "99", "-1"])
+    def test_embed_layer_out_of_range_exits_2_before_any_forward(
+            self, prepared, tmp_path, rng, monkeypatch, capsys, layer):
+        tsv = tmp_path / "d.tsv"
+        write_dataset(tsv, rng)
+        monkeypatch.setattr(K, "embedding", no_forward)
+        rc = run(["embed", "--checkpoint", str(prepared / "run" / "checkpoint.bin"),
+                  "--dataset", str(tsv), "--layer", layer, "--out", str(tmp_path / "X.npy")])
+        assert rc == 2
+        assert f"--layer {layer} out of range for 1 layers" in capsys.readouterr().err
+        assert not (tmp_path / "X.npy").exists()
 
     def test_sweep_non_integer_length_exits_2_naming_the_flag(self, prepared, tmp_path, capsys):
         rc = run(["sweep", "--checkpoints", str(prepared / "run" / "checkpoint.bin"),
@@ -409,9 +427,9 @@ class TestUsageErrors:
         assert rc == 2
         assert "one class per row; finetune handles multilabel" in capsys.readouterr().err
 
-    def test_finetune_epochs_below_1_exits_2(self, prepared, tmp_path, capsys):
+    def test_finetune_epochs_below_1_exits_2(self, tmp_path, capsys):
         for n in ("0", "-1"):
-            rc = run(["finetune", "--checkpoint", str(prepared / "run" / "checkpoint.bin"),
+            rc = run(["finetune", "--checkpoint", str(tmp_path / "missing.ckpt"),
                       "--train-dataset", str(tmp_path / "tr.tsv"),
                       "--test-dataset", str(tmp_path / "te.tsv"), "--epochs", n,
                       "--out-dir", str(tmp_path / "ft")])

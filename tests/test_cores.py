@@ -1,5 +1,6 @@
-"""`kernels.cores()`: long inputs split over a thread pool while OpenBLAS
-runs one thread, with results bitwise equal to the serial path."""
+"""`kernels.cores()`: long inputs split over a pool of one thread per CPU
+while OpenBLAS runs one thread, with results bitwise equal to the serial
+path under any OpenBLAS thread setting."""
 
 import contextlib
 import dataclasses
@@ -18,11 +19,9 @@ from genelm.model import LanguageModel, ModelConfig
 from genelm.tokenizer import next_token_targets
 
 BLAS = K._openblas()
-BLAS_THREADS = BLAS[0]() if BLAS else 1
-needs_blas = pytest.mark.skipif(BLAS is None, reason="numpy's BLAS is not a reachable OpenBLAS")
-needs_split = pytest.mark.skipif(
-    BLAS_THREADS < 2, reason=f"OpenBLAS runs {BLAS_THREADS} thread(s): cores() keeps "
-                             "the serial path")
+CPUS = len(os.sched_getaffinity(0))
+needs_cores = pytest.mark.skipif(
+    BLAS is None or CPUS < 2, reason="cores() needs a reachable OpenBLAS and two CPUs or more")
 
 TINY = ModelConfig(vocab_size=6, hidden=16, n_layers=2, n_heads=2, ffn_dim=24,
                    max_seq_len=1024)
@@ -119,36 +118,39 @@ def switch_every(seconds):
 
 
 class TestScope:
-    @needs_split
+    @needs_cores
     def test_pins_blas_to_one_thread_and_restores_it(self):
+        threads = BLAS[0]()
         with K.cores():
             assert BLAS[0]() == 1
-            assert K._SPLIT == BLAS_THREADS
-        assert BLAS[0]() == BLAS_THREADS
+            assert K._SPLIT == CPUS
+        assert BLAS[0]() == threads
         assert K._SPLIT == 1
 
-    @needs_blas
+    @needs_cores
     def test_restores_blas_threads_when_the_body_raises(self):
+        threads = BLAS[0]()
         with pytest.raises(ZeroDivisionError):
             with K.cores():
                 1 / 0
-        assert BLAS[0]() == BLAS_THREADS
+        assert BLAS[0]() == threads
         assert K._SPLIT == 1
 
-    @needs_split
+    @needs_cores
     def test_nested_scope_does_nothing(self):
+        threads = BLAS[0]()
         with K.cores():
             with K.cores():
                 assert BLAS[0]() == 1
             assert BLAS[0]() == 1
-            assert K._SPLIT == BLAS_THREADS
-        assert BLAS[0]() == BLAS_THREADS
+            assert K._SPLIT == CPUS
+        assert BLAS[0]() == threads
 
-    @needs_split
+    @needs_cores
     def test_slices_run_on_pool_threads(self):
-        n = 4 * BLAS_THREADS  # more items than slices, so no slice is empty
+        n = 4 * CPUS  # more items than slices, so no slice is empty
         seen = {}
-        barrier = threading.Barrier(BLAS_THREADS, timeout=10)
+        barrier = threading.Barrier(CPUS, timeout=10)
 
         def record(lo, hi):
             seen[(lo, hi)] = threading.get_ident()
@@ -156,11 +158,11 @@ class TestScope:
 
         with K.cores():
             K.over(n, record)
-        assert sorted(seen) == [(4 * i, 4 * (i + 1)) for i in range(BLAS_THREADS)]
-        assert len(set(seen.values())) == BLAS_THREADS
+        assert sorted(seen) == [(4 * i, 4 * (i + 1)) for i in range(CPUS)]
+        assert len(set(seen.values())) == CPUS
         assert seen[(0, 4)] == threading.get_ident()
 
-    @needs_split
+    @needs_cores
     def test_worker_error_reaches_the_caller(self):
         done = []
 
@@ -170,20 +172,20 @@ class TestScope:
             done.append(lo)
 
         with K.cores(), pytest.raises(ZeroDivisionError):
-            K.over(4 * BLAS_THREADS, fail_off_the_calling_thread)
+            K.over(4 * CPUS, fail_off_the_calling_thread)
         assert done == [0]
 
-    @needs_split
+    @needs_cores
     def test_split_restored_after_a_slice_raises(self):
         """A failed split leaves _SPLIT as it found it, so the next `over`
         in the scope still runs a slice on a pool thread."""
         with K.cores():
             with pytest.raises(ZeroDivisionError):
-                K.over(4 * BLAS_THREADS, lambda lo, hi: 1 / lo)
-            assert K._SPLIT == BLAS_THREADS
+                K.over(4 * CPUS, lambda lo, hi: 1 / lo)
+            assert K._SPLIT == CPUS
             threads = set()
-            K.over(4 * BLAS_THREADS, lambda lo, hi: threads.add(threading.get_ident()))
-        assert len(threads) == BLAS_THREADS
+            K.over(4 * CPUS, lambda lo, hi: threads.add(threading.get_ident()))
+        assert len(threads) == CPUS
 
     def test_runs_are_bounded_from_each_slice_start(self):
         runs = []
@@ -192,7 +194,7 @@ class TestScope:
         runs.clear()
         with K.cores():
             K.over(10, lambda lo, hi: runs.append((lo, hi)), 3)
-        k = min(BLAS_THREADS, 10)  # slices; one where cores() keeps the serial path
+        k = min(K._CORES, 10)  # slices; one where cores() does nothing
         want = [(r, min(r + 3, 10 * (i + 1) // k))
                 for i in range(k) for r in range(10 * i // k, 10 * (i + 1) // k, 3)]
         assert sorted(runs) == want
@@ -230,7 +232,7 @@ class TestScope:
                                                warmup_iters=1), data, init_seed=4)
             assert bool(entered) == enters, (batch_size, context)
 
-    @needs_split
+    @needs_cores
     def test_nested_over_runs_serially(self):
         """An `over` inside a slice runs on the slice's own thread; in a child,
         because a nested split on the one pool thread would never return."""
@@ -245,15 +247,48 @@ class TestScope:
                 "print(sorted(seen))\n")
         assert run_python(code, timeout=60).strip() == "[(0, 0, 4, True), (1, 0, 4, True)]"
 
-    @needs_blas
-    def test_one_blas_thread_keeps_the_serial_path(self):
+    @needs_cores
+    def test_scope_inside_a_slice_does_nothing(self):
+        """A `cores()` entered from inside a slice keeps the slice serial and
+        OpenBLAS on one thread; in a child, as a split there could hang."""
         code = ("from genelm import kernels as K\n"
+                "get = K._openblas()[0]\n"
+                "seen = set()\n"
+                "def outer(lo, hi):\n"
+                "    with K.cores():\n"
+                "        seen.add((K._SPLIT, get()))\n"
+                "        K.over(4, lambda a, b: None)\n"
                 "with K.cores():\n"
-                "    print(K._SPLIT)\n")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=60, check=True)
-        assert out.stdout.strip() == "1"
+                "    K.over(2, outer)\n"
+                "print(sorted(seen), K._SPLIT)\n")
+        assert run_python(code, timeout=60).strip() == "[(0, 1)] 1"
+
+    @needs_cores
+    @pytest.mark.parametrize("threads", ["1", "4"])
+    def test_pool_follows_the_cpus_not_the_blas_threads(self, threads):
+        """In a child whose OpenBLAS starts on `threads` threads, the scope
+        splits over one slice per CPU and restores OpenBLAS's own count."""
+        code = ("from genelm import kernels as K\n"
+                "get = K._openblas()[0]\n"
+                "before = get()\n"
+                "with K.cores():\n"
+                "    print(K._SPLIT, get(), end=' ')\n"
+                "print(get() == before)\n")
+        assert run_python(code, timeout=60, OPENBLAS_NUM_THREADS=threads).split() == [
+            str(CPUS), "1", "True"]
+
+    @needs_cores
+    def test_one_cpu_does_nothing(self):
+        """A child restricted to one CPU (`os.sched_setaffinity`, a setting
+        of that child only) keeps the serial path and OpenBLAS's count."""
+        code = ("import os\n"
+                "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                "from genelm import kernels as K\n"
+                "get = K._openblas()[0]\n"
+                "before = get()\n"
+                "with K.cores():\n"
+                "    print(K._SPLIT, get() == before)\n")
+        assert run_python(code, timeout=60).split() == ["1", "True"]
 
 
 class TestBitIdentical:
@@ -360,7 +395,7 @@ class TestBitIdentical:
                               lr_peak=1e-3, lr_min=1e-4)
         splits = recording_over(monkeypatch)
         threaded = train_digest(DESK, tcfg, data)
-        assert splits or BLAS_THREADS < 2
+        assert splits or K._CORES < 2
         monkeypatch.setattr(K, "cores", contextlib.nullcontext)
         assert train_digest(DESK, tcfg, data) == threaded
 
@@ -370,7 +405,7 @@ class TestRowSplit:
     smaller weights, the LM head among them, differ in the last bit when
     their rows are split."""
 
-    @needs_split
+    @needs_cores
     @pytest.mark.parametrize("rows", [1024, 1100, 2048, 4096])
     @pytest.mark.parametrize("k, n", [(64, 64), (128, 128), (128, 352), (352, 128),
                                       (256, 256), (256, 704), (704, 256)])
@@ -423,15 +458,17 @@ def run(batch_size):
 
 
 def run_python(code, *, timeout, **env):
+    """Run code in a child python and return its stdout; env overrides the
+    child's environment, a value of None unsets the variable."""
     src = os.path.dirname(os.path.dirname(K.__file__))
-    env = dict(os.environ, **env)
+    env = {k: v for k, v in dict(os.environ, **env).items() if v is not None}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=timeout, check=True).stdout
 
 
 class TestHalves:
-    @needs_split
+    @needs_cores
     @pytest.mark.parametrize("batch_size", [2, 3, 8])
     def test_threaded_halves_equal_serial_halves(self, batch_size, monkeypatch):
         """Losses, gradient norms, parameters and both moments are bitwise
@@ -470,3 +507,41 @@ class TestHalves:
                 "                                             warmup_iters=1), data)\n"
                 "print(len(rows))\n")
         assert run_python(code, timeout=120).strip() == "1"
+
+
+# digests of the desk model's logits at 1100 and 2048 tokens, and of its
+# parameters and both Adam moments after 2 steps at (4, 512): halves of 1024
+# tokens, the smallest that `train_stage` runs inside `cores()`
+SETTINGS_RUN = """
+import dataclasses
+import hashlib
+import numpy as np
+from genelm import trainer as TR
+from genelm.model import LanguageModel, ModelConfig
+
+def sha(arrays):
+    digest = hashlib.sha1()
+    for a in arrays:
+        digest.update(a.tobytes())
+    return digest.hexdigest()
+
+rng = np.random.default_rng(11)
+model = LanguageModel.init(dataclasses.replace(ModelConfig(), max_seq_len=2048), seed=5)
+for t in (1100, 2048):
+    print(t, sha([model.logits(rng.integers(2, 6, size=t))]))
+data = rng.integers(1, 6, size=(8, 512)).astype(np.uint8)
+ckpt, rows = TR.train_stage(dataclasses.replace(ModelConfig(), max_seq_len=512),
+                            TR.TrainConfig(batch_size=4, total_iters=2, warmup_iters=1),
+                            data, init_seed=4)
+print("train", sha(ckpt.params[n] for n in sorted(ckpt.params)),
+      *(sha(m[n] for n in sorted(m)) for m in ckpt.moments), [r["loss"] for r in rows])
+"""
+
+
+def test_outputs_equal_across_blas_thread_settings():
+    """README's promise at the real gate: the same outputs with OpenBLAS's
+    default thread count and with OPENBLAS_NUM_THREADS=1."""
+    default = run_python(SETTINGS_RUN, timeout=300, OPENBLAS_NUM_THREADS=None)
+    one = run_python(SETTINGS_RUN, timeout=300, OPENBLAS_NUM_THREADS="1")
+    assert len(default.splitlines()) == 3
+    assert default == one

@@ -107,6 +107,12 @@ class TestPointExamples:
         assert M.precision([0, 0], [0, 1]) is None
         assert M.recall([1, 1], [0, 0]) is None
 
+    @pytest.mark.parametrize("fn", [M.accuracy, M.precision, M.recall, M.mcc, M.f1])
+    @pytest.mark.parametrize("preds, targets", [([1, 1], [1]), ([1, 0, 1], [1]), ([], [])])
+    def test_unequal_or_empty_labels_rejected(self, fn, preds, targets):
+        with pytest.raises(ValueError, match="need equal-length non-empty predictions"):
+            fn(preds, targets)
+
 
 # --- randomized brute-force comparison (the oracle suite) --------------------
 

@@ -189,7 +189,8 @@ class TestBlocks:
                                 wk=t["gain"], wv=t["gain"], wo=t["gain"],
                                 ffn_norm_gain=t["gain"], w1=t["w1"],
                                 w2=t["w2"], w3=t["w3"])
-            return K.sum_all(K.mul(ffn_block(t["x"], layer, 1e-5), K.Tensor(w)))
+            out = K.mul(ffn_block(t["x"], layer, 1e-5), K.Tensor(w))
+            return K.sum_axis(K.reshape(out, (-1,)), 0)
 
         check_grad(build, arrays, rng)
 
