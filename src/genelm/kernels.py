@@ -1,18 +1,22 @@
 """Dense numeric kernels with reverse-mode gradient computation.
 
 Everything the model touches is a `Tensor`: a numpy array plus its `Node`
-in a compute graph built per forward pass. Edges link nodes, not arrays,
-so a graph holds exactly the arrays its backward rules capture: an op's
-output that no rule reads is freed as soon as the program drops it, and
-`backward` releases each rule, with what it captured, once it has run. The
-SwiGLU gate (`swiglu`) keeps its two inputs and recomputes its sigmoid in
-the backward. Causal attention is
-tiled into blocks of BLOCK query rows for a group of heads and never forms
-the t x t matrix: its forward working set is one tile per thread
-(TILE_SCORES) and it keeps O(B*H*t*d) for the backward pass. Without a
-graph, `rows` runs a row-wise block over chunks of ROW_CHUNK rows at most.
-All arithmetic is 32-bit by default; building a graph from float64 arrays
-yields a float64 graph (used by tests that want a high-precision oracle).
+in a compute graph built per forward pass, unless the thread is inside
+`no_grad()`. Edges link nodes, not arrays, so a graph holds exactly the
+arrays its backward rules capture: an op's output that no rule reads is
+freed as soon as the program drops it, and `backward` releases each rule,
+with what it captured, once it has run. The SwiGLU gate (`swiglu`) keeps
+its two inputs and recomputes its sigmoid in the backward. `recompute`
+runs a segment of ops without a graph and keeps only its inputs; the
+backward reruns the segment with a graph, so what its rules capture is
+held only while that rerun lasts (the model's blocks at long contexts).
+Causal attention is tiled into blocks of BLOCK query rows for a group of
+heads and never forms the t x t matrix: its forward working set is one
+tile per thread (TILE_SCORES) and it keeps O(B*H*t*d) for the backward
+pass. Without a graph, `rows` runs a row-wise block over chunks of
+ROW_CHUNK rows at most. All arithmetic is 32-bit by default; building a
+graph from float64 arrays yields a float64 graph (used by tests that want
+a high-precision oracle).
 
 Inside `cores()`, OpenBLAS runs one thread and `over` splits work over a
 pool of one thread per CPU the process may use, with bit-identical results:
@@ -29,25 +33,36 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import os
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ShapeError
 
-_GRAD_ENABLED = True
+# per thread: `graph` is False inside `no_grad()`; `over` hands the caller's
+# mode to the slices it runs on pool threads
+_MODE = threading.local()
+
+
+def _graph_on() -> bool:
+    return getattr(_MODE, "graph", True)
 
 
 @contextlib.contextmanager
-def no_grad():
-    """Disable graph construction inside the block (evaluation fast path)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+def _graph_mode(on: bool):
+    prev = _graph_on()
+    _MODE.graph = on
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _MODE.graph = prev
+
+
+def no_grad():
+    """Disable graph construction on this thread inside the block
+    (evaluation fast path), and in the slices `over` runs from it."""
+    return _graph_mode(False)
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +144,10 @@ def over(n: int, fn: Callable[[int, int], None], most: int | None = None) -> Non
     """fn(lo, hi) over contiguous runs covering range(n): inside `cores()`
     one slice per pool thread and one on the calling thread, else the whole
     range as one slice; each slice whole, or in runs of at most `most`
-    counted from its start. While the slices run, _SPLIT is 0, so a call
-    made from inside a slice runs serially, as a nested `cores()` does
-    nothing, and never waits on the pool it runs in."""
+    counted from its start. Pool threads run their slices in the caller's
+    graph mode. While the slices run, _SPLIT is 0, so a call made from
+    inside a slice runs serially, as a nested `cores()` does nothing, and
+    never waits on the pool it runs in."""
     global _SPLIT
 
     def runs(lo, hi):
@@ -145,8 +161,14 @@ def over(n: int, fn: Callable[[int, int], None], most: int | None = None) -> Non
     if k <= 1:
         runs(0, n)
         return
+    graph = _graph_on()
+
+    def pooled(lo, hi):
+        with _graph_mode(graph):
+            runs(lo, hi)
+
     prev, _SPLIT = _SPLIT, 0
-    futures = [_POOL.submit(runs, n * i // k, n * (i + 1) // k) for i in range(1, k)]
+    futures = [_POOL.submit(pooled, n * i // k, n * (i + 1) // k) for i in range(1, k)]
     try:
         runs(0, n // k)
     finally:
@@ -209,7 +231,7 @@ def _result(data: np.ndarray, parents: Sequence[Node], bwd: Callable) -> Tensor:
     """data as a Tensor, with a node linked to the parents' nodes when a
     graph is built. bwd must capture nodes, shapes and the arrays it reads,
     never a Tensor, which would keep that Tensor's data alive."""
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _graph_on() and any(p.requires_grad for p in parents):
         return Tensor(data, node=Node(data.dtype, True, tuple(parents), bwd))
     return Tensor(data)
 
@@ -270,7 +292,7 @@ def rows(fn: Callable[[Tensor], Tensor], x: Tensor) -> Tensor:
     x2 = x.data.reshape(-1, x.data.shape[-1])
     n = len(x2)
     k = -(-n // ROW_CHUNK)
-    if _GRAD_ENABLED or k < 2:
+    if _graph_on() or k < 2:
         return fn(x)
     out = np.empty_like(x2)
 
@@ -746,6 +768,46 @@ def sigmoid_bce(logits: Tensor, targets: np.ndarray) -> Tensor:
 # reverse pass
 # ---------------------------------------------------------------------------
 
+def recompute(fn: Callable[..., tuple], *xs: Tensor) -> tuple:
+    """fn(*xs), a tuple of Tensors, with a graph that keeps only the xs.
+
+    fn runs without a graph. Its outputs hang off one node whose rule, once
+    every output's gradient has arrived, reruns fn on the same arrays with
+    a graph and propagates those gradients through it in one pass, to the
+    xs and to the parameters fn reads. fn must compute the same arrays on
+    both runs, and must not close over activations, which the graph would
+    then keep. Without a graph, just fn(*xs).
+    """
+    if not _graph_on():
+        return fn(*xs)
+    with no_grad():
+        outs = fn(*xs)
+    arrays, nodes = [x.data for x in xs], tuple(x.node for x in xs)
+    grads: list = [None] * len(outs)
+
+    def rerun(_):
+        leaves = [Tensor(a, n.requires_grad) for a, n in zip(arrays, nodes)]
+        with _graph_mode(True):
+            roots = [out.node for out in fn(*leaves)]  # no rule reads their arrays
+        for root, g in zip(roots, grads):
+            root.grad = g
+        _propagate(roots)
+        for leaf, n in zip(leaves, nodes):
+            if leaf.grad is not None:
+                _accum(n, leaf.grad)
+
+    join = Node(outs[0].dtype, True, nodes, rerun)
+
+    def arrival(i):
+        def bwd(g):
+            grads[i] = g
+            join.grad = grads  # set, so the pass runs `rerun` after every output
+        return bwd
+
+    return tuple(Tensor(out.data, node=Node(out.dtype, True, (join,), arrival(i)))
+                 for i, out in enumerate(outs))
+
+
 def backward(loss: Tensor) -> None:
     """Populate .grad on every requires_grad leaf reachable from `loss`.
 
@@ -755,13 +817,21 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+    loss.node.grad = np.ones_like(loss.data)
+    _propagate([loss.node])
 
+
+def _propagate(roots: Sequence[Node]) -> None:
+    """Run the rule of every node reachable from `roots`, whose gradients
+    are set, once all its consumers' rules have run, then free it. The
+    roots are taken as one node's parents would be, the first root's rule
+    first, so a rerun adds a tensor's gradients up in the order the whole
+    graph does (Q, K, then V into the normed input)."""
     # iterative postorder; a node's parents exist before it, so the graph
     # has no cycle
-    root = loss.node
     seen: set[int] = set()
     order: list[Node] = []
-    stack = [(root, False)]
+    stack = [(root, False) for root in roots]
     while stack:
         node, done = stack.pop()
         if done:
@@ -771,7 +841,6 @@ def backward(loss: Tensor) -> None:
             stack.append((node, True))
             stack.extend((p, False) for p in node._parents if id(p) not in seen)
 
-    root.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._bwd is None:
             continue

@@ -133,37 +133,64 @@ def rope_apply(x: Tensor, angles: tuple[np.ndarray, np.ndarray]) -> Tensor:
 # blocks
 # ---------------------------------------------------------------------------
 
+# Sequence length from which a graph-building forward keeps, of each block,
+# only its input and attention's tensors, and recomputes the rest in the
+# backward (`K.recompute`): on the desk model the graph then holds 13.2
+# rather than 35.8 KiB per token. Recomputing made a training step 6-7 %
+# slower at (1, 2048) and (1, 4096) but 13 % at (8, 512), where attention
+# is a smaller share (median of alternated pairs, 2-vCPU x86 host), so
+# shorter inputs keep the whole graph.
+RECOMPUTE_MIN_LEN = 2048
+
+
+def _segment(t: int, fn, *xs: Tensor) -> tuple:
+    """fn(*xs), a tuple of Tensors; through `K.recompute` at a sequence
+    length t of RECOMPUTE_MIN_LEN or more."""
+    return K.recompute(fn, *xs) if t >= RECOMPUTE_MIN_LEN else fn(*xs)
+
+
 def attention_block(x: Tensor, layer: LayerParams,
                     angles: tuple[np.ndarray, np.ndarray],
                     n_heads: int, eps: float) -> Tensor:
     """x + Wo . MHA(rmsnorm(x)); strictly causal, scores scaled by
-    1/sqrt(head_dim). x is (batch, t, hidden). Each intermediate is dropped
-    once used, so only the live ones take memory: with a graph, those that
-    a backward rule captured, without one, those the next op reads."""
+    1/sqrt(head_dim). x is (batch, t, hidden). Two segments sit around the
+    rotation and attention: rmsnorm, the Q/K/V projections and their heads;
+    merged heads and Wo. From RECOMPUTE_MIN_LEN tokens a graph keeps only x
+    and attention's tensors, and the backward reruns both segments.
+    Each intermediate is dropped once used, so only the live ones take
+    memory: with a graph, those that a backward rule captured, without one,
+    those the next op reads."""
     B, t, h = x.shape
     d = h // n_heads
-    xn = K.rmsnorm(x, layer.attn_norm_gain, eps)
-    q, k, v = (K.transpose(K.reshape(K.matmul(xn, w), (B, t, n_heads, d)), (0, 2, 1, 3))
-               for w in (layer.wq, layer.wk, layer.wv))
-    del xn
+
+    def project(xs: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+        xn = K.rmsnorm(xs, layer.attn_norm_gain, eps)
+        return tuple(K.transpose(K.reshape(K.matmul(xn, w), (B, t, n_heads, d)), (0, 2, 1, 3))
+                     for w in (layer.wq, layer.wk, layer.wv))
+
+    def merge(att: Tensor) -> tuple[Tensor]:
+        return (K.matmul(K.reshape(K.transpose(att, (0, 2, 1, 3)), (B, t, h)), layer.wo),)
+
+    q, k, v = _segment(t, project, x)
     q = rope_apply(q, angles)
     k = rope_apply(k, angles)
     att = K.causal_attention(q, k, v, 1.0 / math.sqrt(d))
     del q, k, v
-    merged = K.reshape(K.transpose(att, (0, 2, 1, 3)), (B, t, h))
-    del att
-    return K.add(x, K.matmul(merged, layer.wo))
+    return K.add(x, _segment(t, merge, att)[0])
 
 
 def ffn_block(x: Tensor, layer: LayerParams, eps: float) -> Tensor:
     """x + W2 . (silu(W1 . rmsnorm(x)) * (W3 . rmsnorm(x))); without a graph
-    over fixed chunks of rows (`K.rows`)."""
-    def block(xs: Tensor) -> Tensor:
+    over fixed chunks of rows (`K.rows`); from RECOMPUTE_MIN_LEN tokens a
+    graph keeps only x, and the backward reruns all but the residual add."""
+    t = x.shape[-2]
+
+    def ffn(xs: Tensor) -> tuple[Tensor]:
         xn = K.rmsnorm(xs, layer.ffn_norm_gain, eps)
         gated = K.swiglu(K.matmul(xn, layer.w1), K.matmul(xn, layer.w3))
-        return K.add(xs, K.matmul(gated, layer.w2))
+        return (K.matmul(gated, layer.w2),)
 
-    return K.rows(block, x)
+    return K.rows(lambda xs: K.add(xs, _segment(t, ffn, xs)[0]), x)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 import os
+import resource
 import time
 import zlib
 from dataclasses import asdict, dataclass, replace
@@ -452,6 +453,8 @@ def train_stage(model_config: ModelConfig, train_config: TrainConfig,
                 "grad_norm": norm,
                 "tokens_seen": (i + 1) * b * ctx,
                 "wall_ms": (time.perf_counter() - t_start) * 1e3,
+                # the process's peak so far; ru_maxrss is in KiB on Linux
+                "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             }
             metrics.append(row)
             if log_file:

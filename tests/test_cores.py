@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from genelm import kernels as K
+from genelm import model as M
 from genelm import trainer as TR
 from genelm.model import LanguageModel, ModelConfig
 from genelm.tokenizer import next_token_targets
@@ -545,3 +546,95 @@ def test_outputs_equal_across_blas_thread_settings():
     one = run_python(SETTINGS_RUN, timeout=300, OPENBLAS_NUM_THREADS="1")
     assert len(default.splitlines()) == 3
     assert default == one
+
+
+class TestGraphMode:
+    """`no_grad` holds for the thread that enters it, and for the slices
+    `over` runs from that thread, not for any other thread."""
+
+    @needs_cores
+    def test_no_grad_rows_build_no_node_on_the_pool_thread(self, rng):
+        w = K.Tensor(rng.standard_normal((16, 16)).astype(np.float32), requires_grad=True)
+        x = K.Tensor(rng.standard_normal((4 * K.ROW_CHUNK, 16)).astype(np.float32))
+        seen = []
+
+        def block(xs):
+            out = K.matmul(xs, w)
+            seen.append((threading.current_thread().name.startswith("genelm-core"),
+                         out.requires_grad))
+            return out
+
+        with K.cores(), K.no_grad():
+            K.rows(block, x)
+        assert {pooled for pooled, _ in seen} == {False, True}
+        assert not any(graph for _, graph in seen)
+
+    def test_no_grad_on_one_thread_keeps_another_threads_graph(self):
+        entered, leave = threading.Event(), threading.Event()
+
+        def evaluate():
+            with K.no_grad():
+                entered.set()
+                leave.wait(30)
+
+        thread = threading.Thread(target=evaluate)
+        thread.start()
+        try:
+            assert entered.wait(30)
+            w = K.Tensor(np.ones((2, 2), np.float32), requires_grad=True)
+            out = K.matmul(K.Tensor(np.ones((3, 2), np.float32)), w)
+        finally:
+            leave.set()
+            thread.join(30)
+        assert not thread.is_alive()
+        assert out.requires_grad and out._parents
+
+
+def recompute_calls(monkeypatch):
+    """Patch K.recompute to count its calls, and return the list."""
+    calls = []
+    recompute = K.recompute
+
+    def counting(fn, *xs):
+        calls.append(1)
+        return recompute(fn, *xs)
+
+    monkeypatch.setattr(K, "recompute", counting)
+    return calls
+
+
+class TestRecompute:
+    """From model.RECOMPUTE_MIN_LEN tokens, training keeps of each block only
+    its input and attention's tensors and reruns the rest in the backward;
+    the results are bitwise those of the whole graph."""
+
+    # (2, 2048) runs its halves at once: one half's `no_grad` segments
+    # overlap the other half's graph-building forward
+    @pytest.mark.parametrize("batch, t, tied", [(2, 2048, False), (1, 2048, False),
+                                                (1, 4096, False), (1, 2048, True)])
+    def test_gate_on_and_off(self, rng, monkeypatch, batch, t, tied):
+        cfg = dataclasses.replace(DESK, max_seq_len=t, tie_embeddings=tied)
+        data = rng.integers(1, 6, size=(3 * batch, t)).astype(np.uint8)
+        tcfg = TR.TrainConfig(batch_size=batch, total_iters=3, warmup_iters=1,
+                              lr_peak=1e-3, lr_min=1e-4)
+        calls = recompute_calls(monkeypatch)
+        recomputed = train_digest(cfg, tcfg, data)
+        # three segments per layer, per half and step
+        assert len(calls) == 3 * cfg.n_layers * batch * 3
+        monkeypatch.setattr(M, "RECOMPUTE_MIN_LEN", 10**9)
+        whole = train_digest(cfg, tcfg, data)
+        assert len(calls) == 3 * cfg.n_layers * batch * 3
+        assert recomputed == whole
+
+    def test_resumed_run_equals_the_uninterrupted_one(self, rng):
+        cfg = dataclasses.replace(DESK, max_seq_len=M.RECOMPUTE_MIN_LEN)
+        data = rng.integers(1, 6, size=(3, cfg.max_seq_len)).astype(np.uint8)
+        tcfg = TR.TrainConfig(batch_size=1, total_iters=3, warmup_iters=1,
+                              lr_peak=1e-3, lr_min=1e-4)
+        full, rows = TR.train_stage(cfg, tcfg, data, init_seed=4)
+        part, head = TR.train_stage(cfg, tcfg, data, init_seed=4, stop_at_step=1)
+        rest, tail = TR.train_stage(cfg, tcfg, data, start=part)
+        assert [r["loss"] for r in head + tail] == [r["loss"] for r in rows]
+        for got, want in zip((rest.params, *rest.moments), (full.params, *full.moments)):
+            for n in want:
+                assert np.array_equal(got[n], want[n]), n

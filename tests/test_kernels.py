@@ -356,3 +356,43 @@ class TestBackward:
         K.backward(loss)
         assert y._bwd is None and y._parents == () and y.grad is None
         assert x.grad is not None
+
+
+class TestRecompute:
+    def segment(self, rng):
+        """(fn, x, w): fn has two outputs, reads the parameter w it closes
+        over and uses its input twice."""
+        w = K.Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+
+        def fn(x):
+            h = K.matmul(x, w)
+            return K.mul(h, h), K.add(x, h)
+
+        return fn, K.Tensor(rng.standard_normal((3, 4)), requires_grad=True), w
+
+    def test_gradients_equal_the_whole_graphs(self, rng):
+        fn, x, w = self.segment(rng)
+        weights = K.Tensor(rng.standard_normal((3, 4)))
+
+        def run(segment):
+            x.grad = w.grad = None
+            a, b = segment(fn, x)
+            K.backward(K.add(total(K.mul(a, weights)), total(K.mul(b, b))))
+            return a.data, b.data, x.grad, w.grad
+
+        for got, want in zip(run(K.recompute), run(lambda f, *xs: f(*xs))):
+            assert np.array_equal(got, want)
+
+    def test_unused_output_and_freed_graph(self, rng):
+        fn, x, w = self.segment(rng)
+        a, b = K.recompute(fn, x)
+        K.backward(total(b))
+        want = np.ones((3, 4)) + np.ones((3, 4)) @ w.data.T
+        assert np.allclose(x.grad, want)
+        assert a._parents[0]._bwd is None and b._parents == ()
+
+    def test_no_grad_runs_fn_alone(self, rng):
+        fn, x, _ = self.segment(rng)
+        with K.no_grad():
+            a, b = K.recompute(fn, x)
+        assert not a.requires_grad and a._parents == () and b._bwd is None

@@ -8,7 +8,7 @@ import pytest
 from conftest import check_grad
 from genelm import kernels as K
 from genelm.errors import ContextOverflowError
-from genelm.model import (LanguageModel, LayerParams, ModelConfig,
+from genelm.model import (RECOMPUTE_MIN_LEN, LanguageModel, LayerParams, ModelConfig,
                           attention_block, ffn_block, init_params,
                           param_shapes, rope_angles, rope_apply)
 from genelm.tokenizer import next_token_targets
@@ -195,6 +195,22 @@ class TestBlocks:
         check_grad(build, arrays, rng)
 
 
+def graph_kib_per_token(t, rng):
+    """KiB per token of traced memory still held after one graph-building
+    desk-model forward and its loss at (1, t)."""
+    model = LanguageModel.init(dataclasses.replace(ModelConfig(), max_seq_len=t))
+    ids = rng.integers(2, 6, size=(1, t))
+    targets, mask = next_token_targets(ids)
+    tracemalloc.start()
+    try:
+        loss = K.cross_entropy(model.forward(ids), targets, mask)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert loss.requires_grad
+    return held / t / 1024
+
+
 class TestForward:
     def test_rotary_tables_follow_the_input_not_the_context(self, rng):
         # a checkpoint header may declare any context length; scoring two
@@ -222,22 +238,19 @@ class TestForward:
 
     def test_graph_holds_at_most_40_kib_per_token(self, rng):
         """Traced memory still held after one graph-building desk-model
-        forward and its loss at (1, 1024): the arrays the backward rules
-        read, not op outputs that no rule reads (q/k/v before the head
-        transpose or the rotation, the Wo and W2 products before the
-        residual add) nor the FFN's sigmoid and SiLU output."""
-        t = 1024
-        model = LanguageModel.init(dataclasses.replace(ModelConfig(), max_seq_len=t))
-        ids = rng.integers(2, 6, size=(1, t))
-        targets, mask = next_token_targets(ids)
-        tracemalloc.start()
-        try:
-            loss = K.cross_entropy(model.forward(ids), targets, mask)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert loss.requires_grad
-        assert held / t <= 40 * 1024, f"{held / t / 1024:.2f} KiB per token"
+        forward and its loss at (1, 1024), below RECOMPUTE_MIN_LEN: the
+        arrays the backward rules read, not op outputs that no rule reads
+        (q/k/v before the head transpose or the rotation, the Wo and W2
+        products before the residual add) nor the FFN's sigmoid and SiLU
+        output."""
+        assert graph_kib_per_token(1024, rng) <= 40
+
+    def test_recomputing_graph_holds_at_most_14_kib_per_token(self, rng):
+        """The same at (1, 2048), from RECOMPUTE_MIN_LEN: each block's input,
+        rotated Q and K, V, the attention output and its log-sum-exp, not
+        what the norms, projections and FFN read, which the backward
+        recomputes."""
+        assert graph_kib_per_token(RECOMPUTE_MIN_LEN, rng) <= 14
 
     def test_prefix_consistency(self, rng):
         model = tiny_model()

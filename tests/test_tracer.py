@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from genelm import kernels as K
-from genelm.model import LanguageModel, ModelConfig
+from genelm.model import RECOMPUTE_MIN_LEN, LanguageModel, ModelConfig
 from genelm.tokenizer import next_token_targets
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -23,12 +23,11 @@ def step(model, ids):
     return loss.data.copy(), {n: p.grad.copy() for n, p in model.params.items()}
 
 
-def test_traced_step_equals_untraced_and_times_the_backward(monkeypatch, rng):
+def traced_step_equals_untraced(monkeypatch, model, ids):
+    """Assert that one step's loss and every gradient are bitwise the same
+    with the tracer installed as without it; return the tracer."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracer = importlib.import_module("tracer").Tracer()
-    model = LanguageModel.init(ModelConfig(max_seq_len=128), seed=3)
-    ids = rng.integers(2, 6, size=(2, 128))
-
     plain_loss, plain_grads = step(model, ids)
     tracer.install()
     try:
@@ -40,6 +39,23 @@ def test_traced_step_equals_untraced_and_times_the_backward(monkeypatch, rng):
     assert plain_grads.keys() == traced_grads.keys()
     for name, grad in plain_grads.items():
         assert np.array_equal(grad, traced_grads[name]), name
-    raw = tracer.raw()
+    return tracer
+
+
+def test_traced_step_equals_untraced_and_times_the_backward(monkeypatch, rng):
+    model = LanguageModel.init(ModelConfig(max_seq_len=128), seed=3)
+    ids = rng.integers(2, 6, size=(2, 128))
+    raw = traced_step_equals_untraced(monkeypatch, model, ids).raw()
     assert raw["ms"]["kernels.matmul.bwd"] > 0
     assert raw["backward_nodes"] > 0
+
+
+def test_traced_recomputing_step_equals_untraced(monkeypatch, rng):
+    """At RECOMPUTE_MIN_LEN the backward reruns segments of each block
+    through the kernels' own pass, not the public `K.backward` the tracer
+    wraps with one argument."""
+    t = RECOMPUTE_MIN_LEN
+    model = LanguageModel.init(ModelConfig(max_seq_len=t), seed=3)
+    ids = rng.integers(2, 6, size=(1, t))
+    tracer = traced_step_equals_untraced(monkeypatch, model, ids)
+    assert tracer.raw()["calls"]["kernels.backward"] == 1

@@ -459,8 +459,9 @@ class TestTrainStage:
         assert len(lines) == 3
         for want, got in zip(rows, lines):
             assert set(got) == {"step", "lr", "loss", "ppl", "grad_norm",
-                                "tokens_seen", "wall_ms"}
+                                "tokens_seen", "wall_ms", "peak_rss_mb"}
             assert got["loss"] == want["loss"]
+            assert got["peak_rss_mb"] > 0
 
 
 def step_gradients(monkeypatch, cfg, tcfg, data, seed):
